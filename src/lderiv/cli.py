@@ -196,28 +196,34 @@ def _cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    out_help = "write output to this file instead of stdout"
     p = argparse.ArgumentParser(prog="lderiv",
                                 description="Dirichlet L-functions and zeros of L'")
-    p.add_argument("--out", help="write output to this file instead of stdout")
+    p.add_argument("--out", help=out_help)
+    # every subcommand takes --out too; SUPPRESS keeps a subparser from
+    # resetting a value given before the subcommand
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--out", default=argparse.SUPPRESS, help=out_help)
     sub = p.add_subparsers(dest="cmd", required=True)
 
     pc = sub.add_parser("char", help="character enumeration")
     csub = pc.add_subparsers(dest="char_cmd", required=True)
-    cl = csub.add_parser("list")
+    cl = csub.add_parser("list", parents=[common])
     cl.add_argument("--q", type=int, required=True)
     cl.add_argument("--quadratic-only", action="store_true")
 
     ps = sub.add_parser("special", help="special-function evaluations")
     ssub = ps.add_subparsers(dest="special_cmd", required=True)
-    sd = ssub.add_parser("digamma")
+    sd = ssub.add_parser("digamma", parents=[common])
     sd.add_argument("--re", type=float, required=True)
     sd.add_argument("--im", type=float, default=0.0)
-    sp = ssub.add_parser("primesum")
+    sp = ssub.add_parser("primesum", parents=[common])
     sp.add_argument("--sigma", type=float, required=True)
     sp.add_argument("--q", type=int, default=1)
     sp.add_argument("--N", type=int, default=100000)
 
-    pe = sub.add_parser("eval", help="evaluate L-family functions at a point")
+    pe = sub.add_parser("eval", help="evaluate L-family functions at a point",
+                        parents=[common])
     pe.add_argument("--q", type=int, required=True)
     pe.add_argument("--label", type=int, required=True)
     pe.add_argument("--re", type=float, required=True)
@@ -226,23 +232,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     pz = sub.add_parser("zeros", help="zero counting and location")
     zsub = pz.add_subparsers(dest="zeros_cmd", required=True)
-    zc = zsub.add_parser("count")
+    zc = zsub.add_parser("count", parents=[common])
     zc.add_argument("--q", type=int, required=True)
     zc.add_argument("--label", type=int, required=True)
     zc.add_argument("--T", type=float, required=True)
     zc.add_argument("--which", choices=("L", "Lprime"), default="Lprime")
     zc.add_argument("--region", choices=("right", "strip"), default="right")
-    zt = zsub.add_parser("trivial")
+    zt = zsub.add_parser("trivial", parents=[common])
     zt.add_argument("--q", type=int, required=True)
     zt.add_argument("--label", type=int, required=True)
     zt.add_argument("--jmax", type=int, required=True)
-    zl = zsub.add_parser("list")
+    zl = zsub.add_parser("list", parents=[common])
     zl.add_argument("--q", type=int, required=True)
     zl.add_argument("--label", type=int, required=True)
     zl.add_argument("--rect", required=True, help="sigma_left,sigma_right,t_min,t_max")
     zl.add_argument("--which", choices=("L", "Lprime"), default="Lprime")
 
-    pv = sub.add_parser("verify", help="named verification checks")
+    pv = sub.add_parser("verify", help="named verification checks",
+                        parents=[common])
     pv.add_argument("check", choices=_CHECKS)
     pv.add_argument("--q", type=int)
     pv.add_argument("--label", default="0", help="enumeration label, or 'all'")

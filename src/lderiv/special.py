@@ -4,6 +4,8 @@ Everything here is IEEE double with explicit error tracking.  The Hurwitz
 zeta continuation is Euler-Maclaurin: a truncated sum, the two closing
 terms, and Bernoulli corrections, with (N, K) chosen per point so that the
 standard remainder bound plus a rounding estimate meets the target.  The
+candidate pairs of a point share one prefix sum of log|s + i| for the
+Pochhammer factor of that bound, so each pair costs only a few flops.  The
 derivative in s comes from termwise differentiation of the same expansion;
 a Cauchy-circle quadrature of the undifferentiated routine is kept as an
 independent cross-check of that route.
@@ -162,33 +164,64 @@ def digamma_lower_bound_check(z: complex) -> VerificationReport:
 # ----------------------------------------------------------------------
 # Hurwitz zeta by Euler-Maclaurin
 
+def _em_log_parts(s: complex, Ks) -> list:
+    """Per K in Ks, the parts of log R_K (see _em_remainder) that do not
+    depend on N, from one prefix sum of log|s + i|.
+
+    An entry is (lead, power, tail) with lead = log|B_{2K+2}/(2K+2)!| +
+    log|(s)_{2K+1}|, power = -sigma - 2K - 1 and tail the log of the
+    max(1, ...) factor; or the bound itself, inf when sigma + 2K + 1 <= 0
+    and 0 when (s)_{2K+1} vanishes.  The prefix sum adds the logs in index
+    order, so every prefix is the one the single-K loop would give.
+    """
+    sigma = s.real
+    n = 2 * max(Ks) + 1
+    log_poch = [0.0]
+    zero_at = n  # first i with s + i = 0
+    for i in range(n):
+        f = abs(s + i)
+        if f == 0.0:
+            zero_at = i
+            break
+        log_poch.append(log_poch[-1] + math.log(f))
+    parts = []
+    for K in Ks:
+        if sigma + 2 * K + 1 <= 0:
+            parts.append(math.inf)
+        elif zero_at <= 2 * K:
+            parts.append(0.0)
+        else:
+            parts.append((
+                math.log(abs(_em_coef(K + 1))) + log_poch[2 * K + 1],
+                -sigma - 2 * K - 1,
+                math.log(max(1.0, abs(s + 2 * K + 1) / (sigma + 2 * K + 1))),
+            ))
+    return parts
+
+
+def _em_bound(part, log_x: float) -> float:
+    """The remainder bound from one _em_log_parts entry and log x_min."""
+    if isinstance(part, float):
+        return part
+    lead, power, tail = part
+    log_r = lead + power * log_x + tail
+    return math.exp(log_r) if log_r < 700 else math.inf
+
+
 def _em_remainder(s: complex, n_terms: int, K: int, x_min: float) -> float:
     """Standard Euler-Maclaurin remainder bound after K correction terms.
 
     |R_K| <= |B_{2K+2}|/(2K+2)! * |(s)_{2K+1}| * x^(-sigma-2K-1)
              * max(1, |s+2K+1|/(sigma+2K+1)),  valid for sigma+2K+1 > 0.
     """
-    sigma = s.real
-    if sigma + 2 * K + 1 <= 0:
-        return math.inf
-    log_poch = 0.0
-    for i in range(2 * K + 1):
-        f = abs(s + i)
-        if f == 0.0:
-            return 0.0
-        log_poch += math.log(f)
-    log_r = (
-        math.log(abs(_em_coef(K + 1)))
-        + log_poch
-        + (-sigma - 2 * K - 1) * math.log(x_min)
-        + math.log(max(1.0, abs(s + 2 * K + 1) / (sigma + 2 * K + 1)))
-    )
-    return math.exp(log_r) if log_r < 700 else math.inf
+    return _em_bound(_em_log_parts(s, (K,))[0], math.log(x_min))
 
 
 def _choose_em_params(s: complex, a_min: float, tol: float) -> tuple[int, int, float]:
     """Pick (N, K) whose remainder bound meets tol, minimizing the rounding
-    estimate among those; otherwise minimize remainder + rounding."""
+    estimate among those; otherwise minimize remainder + rounding.
+
+    Returns (N, K, remainder bound of that pair)."""
     sigma, t = s.real, abs(s.imag)
     k_min = max(6, math.ceil((3.0 - sigma) / 2.0))
     n_base = max(1, math.ceil(1.3 * t))
@@ -198,22 +231,29 @@ def _choose_em_params(s: complex, a_min: float, tol: float) -> tuple[int, int, f
         n_cands = sorted({max(2, n_base), max(4, n_base), max(6, n_base), max(8, n_base),
                           max(12, n_base), max(16, n_base), max(24, n_base),
                           max(32, n_base), max(64, 2 * n_base)})
+    Ks = [K for K in (k_min, k_min + 6, k_min + 14, k_min + 24) if K <= 59]
+    if not Ks:
+        return None
+    parts = _em_log_parts(s, Ks)
+    # per N: log x_min and the rounding peak max(1, x_min^-sigma)
+    per_n = []
+    for N in n_cands:
+        x_min = N + a_min
+        peak = x_min ** (-sigma) if sigma < 0 else 1.0
+        per_n.append((N, math.log(x_min), max(1.0, peak)))
     best_feasible = None
     best_any = None
-    for K in (k_min, k_min + 6, k_min + 14, k_min + 24):
-        if K > 59:
-            continue
-        for N in n_cands:
-            x_min = N + a_min
-            rem = _em_remainder(s, N, K, x_min)
+    for K, part in zip(Ks, parts):
+        for N, log_x, peak in per_n:
+            rem = _em_bound(part, log_x)
             # rounding ~ eps * (number of terms) * (largest term magnitude)
-            peak = x_min ** (-sigma) if sigma < 0 else 1.0
-            rnd = 8 * _EPS * (N + K + 4) * max(1.0, peak)
+            rnd = 8 * _EPS * (N + K + 4) * peak
             if rem <= tol and (best_feasible is None or rnd < best_feasible[2]):
-                best_feasible = (N, K, rnd)
+                best_feasible = (N, K, rnd, rem)
             if best_any is None or rem + rnd < best_any[2]:
-                best_any = (N, K, rem + rnd)
-    return best_feasible if best_feasible is not None else best_any
+                best_any = (N, K, rem + rnd, rem)
+    N, K, _, rem = best_feasible if best_feasible is not None else best_any
+    return N, K, rem
 
 
 def _em_eval(s: complex, a: np.ndarray, N: int, K: int, want_ds: bool):
@@ -282,9 +322,8 @@ def _hurwitz_core(s: complex, a: np.ndarray, want_ds: bool, tol: float):
     a = np.atleast_1d(np.asarray(a, dtype=float))
     if np.any(a <= 0.0) or np.any(a > 1.0):
         raise DomainError("shift parameter a must lie in (0, 1]")
-    N, K, _ = _choose_em_params(s, float(a.min()), tol)
+    N, K, rem = _choose_em_params(s, float(a.min()), tol)
     vals, dvals, absacc = _em_eval(s, a, N, K, want_ds)
-    rem = _em_remainder(s, N, K, N + float(a.min()))
     errs = rem + 8 * _EPS * absacc
     if want_ds:
         # differentiated series: remainder picks up roughly a log x factor
@@ -356,7 +395,8 @@ def hurwitz_grid(s: np.ndarray, a: np.ndarray, want_ds: bool = False, tol: float
     """Vectorized zeta(s, a) over a grid of s (all with Re s > 0) and a row of a.
 
     Returns (vals, dvals, err) with err one conservative scalar bound for
-    the whole chunk.
+    the whole chunk.  Raises PrecisionLossError when N = 4000 terms cannot
+    bring the remainder bound down to tol.
     """
     s = np.asarray(s, dtype=complex).ravel()
     a = np.asarray(a, dtype=float).ravel()
@@ -375,6 +415,8 @@ def hurwitz_grid(s: np.ndarray, a: np.ndarray, want_ds: bool = False, tol: float
     while rem > tol and N < 4000:
         N = int(N * 1.6) + 4
         rem = _em_remainder_grid(sigma_min, s_abs_max, N, K, N + a_min)
+    if rem > tol:
+        raise PrecisionLossError(f"hurwitz_grid: tol {tol} unreachable with N <= 4000", rem)
     vals, dvals = _em_eval_grid(s, a, N, K, want_ds)
     rem_out = rem * (1.0 if not want_ds else math.log(N + 2.0) + 2 * (2 * K + 1))
     ref = np.abs(dvals if want_ds else vals)

@@ -126,7 +126,7 @@ def check_region_negativity(
             t_lo = 2.0 if kappa == 0 else 3.0
         params["t_lo"] = t_lo
         ts = np.arange(t_lo, grid.tmax + grid.dt / 2, grid.dt)
-        ts = np.concatenate([-ts[::-1], ts]) if t_lo == 0.0 else np.concatenate([-ts[::-1], ts])
+        ts = np.concatenate([-ts[::-1], ts])
         pts = [0.5 + 1j * t for t in ts]
     elif region == "D1":
         grid = grid or GridSpec(dsigma=0.5, dt=0.5)

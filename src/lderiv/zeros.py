@@ -745,6 +745,28 @@ def _polish_cell(chi, which: Which, sl, sr, tl, th) -> Optional[ZeroRecord]:
 # ----------------------------------------------------------------------
 # brute-force oracle (independent of the winding machinery)
 
+def _local_minima(
+    vals: np.ndarray,
+    prev_row: Optional[np.ndarray],
+    next_row: Optional[np.ndarray],
+    threshold: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols) of the entries of vals below threshold that no 4-neighbour
+    undercuts, in row-major order.  prev_row and next_row are the grid rows
+    just before and after vals, or None at the edge of the grid."""
+    edge = np.full(vals.shape[1], np.inf)
+    ext = np.vstack([
+        edge if prev_row is None else prev_row,
+        vals,
+        edge if next_row is None else next_row,
+    ])
+    ext = np.pad(ext, ((0, 0), (1, 1)), constant_values=np.inf)
+    keep = vals < threshold
+    for nb in (ext[:-2, 1:-1], ext[2:, 1:-1], ext[1:-1, :-2], ext[1:-1, 2:]):
+        keep &= ~(nb < vals)
+    return np.nonzero(keep)
+
+
 def grid_zero_scan(
     chi: DirichletCharacter,
     T: float,
@@ -768,9 +790,14 @@ def grid_zero_scan(
     sig = np.arange(spacing, sigma_max + spacing / 2, spacing)
     ts = np.arange(-T - 2 * spacing, T + 2.5 * spacing, spacing)
     candidates: list[complex] = []
+
+    def collect(tchunk, vals, prev_row, next_row):
+        rows, cols = _local_minima(vals, prev_row, next_row, threshold)
+        candidates.extend(complex(sig[j], tchunk[i]) for i, j in zip(rows, cols))
+
     band = 400
-    prev_row: Optional[np.ndarray] = None
-    prev_kept = None
+    held = None  # the band waiting for the first row of the next one
+    prev_row: Optional[np.ndarray] = None  # the row just before the held band
     for start in range(0, len(ts), band):
         tchunk = ts[start : start + band]
         S = sig[None, :] + 1j * tchunk[:, None]
@@ -778,24 +805,11 @@ def grid_zero_scan(
         # cancelled by the character sum); nudge such grid points
         S = np.where(np.abs(S - 1.0) < 1e-9, S + 5e-8, S)
         vals = np.abs(grid_eval(chi, S.ravel())).reshape(S.shape)
-        low = vals < threshold
-        # local minima over the 4-neighborhood (rows continue across chunks)
-        for i in range(len(tchunk)):
-            row = vals[i]
-            up = vals[i - 1] if i > 0 else prev_row
-            down = vals[i + 1] if i + 1 < len(tchunk) else None
-            for jx in np.flatnonzero(low[i]):
-                v = row[jx]
-                if jx > 0 and row[jx - 1] < v:
-                    continue
-                if jx + 1 < len(row) and row[jx + 1] < v:
-                    continue
-                if up is not None and up[jx] < v:
-                    continue
-                if down is not None and down[jx] < v:
-                    continue
-                candidates.append(complex(sig[jx], tchunk[i]))
-        prev_row = vals[-1]
+        if held is not None:
+            collect(*held, prev_row, vals[0])
+            prev_row = held[1][-1]
+        held = (tchunk, vals)
+    collect(*held, prev_row, None)
     zeros: list[complex] = []
     for z0 in candidates:
         try:

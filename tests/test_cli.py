@@ -138,3 +138,15 @@ def test_out_dir_env(tmp_path, capsys, monkeypatch):
     code = cli.run(["--out", "x.json", "char", "list", "--q", "5"])
     assert code == 0
     assert json.loads((tmp_path / "x.json").read_text())
+
+
+def test_out_before_or_after_the_subcommand(tmp_path, capsys):
+    before, after = tmp_path / "before.json", tmp_path / "after.json"
+    assert cli.run(["--out", str(before), "verify", "constants"]) == 0
+    assert cli.run(["verify", "constants", "--out", str(after)]) == 0
+    assert capsys.readouterr().out == ""
+    assert before.read_text() == after.read_text()
+    assert all(r["pass"] for r in json.loads(after.read_text()))
+    nested = tmp_path / "nested.json"
+    assert cli.run(["char", "list", "--q", "7", "--out", str(nested)]) == 0
+    assert len(json.loads(nested.read_text())) == 5

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from lderiv import special as sp
-from lderiv.errors import DomainError, PoleError
+from lderiv.errors import DomainError, PoleError, PrecisionLossError
 from tests.conftest import lattice_points
 
 mpmath.mp.dps = 30
@@ -148,6 +148,103 @@ def test_hurwitz_ds_vs_multiprecision():
 def test_hurwitz_cauchy_rejects_circle_through_pole():
     with pytest.raises(DomainError):
         sp.hurwitz_zeta_cauchy_ds(1.2, 0.5)
+
+
+# Euler-Maclaurin (N, K) policy: reference copy of the per-pair loop it
+# replaced, kept verbatim so the shared prefix sum is held to its bits.
+
+def _ref_em_remainder(s, n_terms, K, x_min):
+    sigma = s.real
+    if sigma + 2 * K + 1 <= 0:
+        return math.inf
+    log_poch = 0.0
+    for i in range(2 * K + 1):
+        f = abs(s + i)
+        if f == 0.0:
+            return 0.0
+        log_poch += math.log(f)
+    log_r = (
+        math.log(abs(sp._em_coef(K + 1)))
+        + log_poch
+        + (-sigma - 2 * K - 1) * math.log(x_min)
+        + math.log(max(1.0, abs(s + 2 * K + 1) / (sigma + 2 * K + 1)))
+    )
+    return math.exp(log_r) if log_r < 700 else math.inf
+
+
+def _ref_choose_em_params(s, a_min, tol):
+    _EPS = 2.0 ** -52
+    sigma, t = s.real, abs(s.imag)
+    k_min = max(6, math.ceil((3.0 - sigma) / 2.0))
+    n_base = max(1, math.ceil(1.3 * t))
+    if sigma >= 0:
+        n_cands = sorted({max(20, n_base), max(36, n_base), max(64, 2 * n_base), max(110, 2 * n_base)})
+    else:
+        n_cands = sorted({max(2, n_base), max(4, n_base), max(6, n_base), max(8, n_base),
+                          max(12, n_base), max(16, n_base), max(24, n_base),
+                          max(32, n_base), max(64, 2 * n_base)})
+    best_feasible = None
+    best_any = None
+    for K in (k_min, k_min + 6, k_min + 14, k_min + 24):
+        if K > 59:
+            continue
+        for N in n_cands:
+            x_min = N + a_min
+            rem = _ref_em_remainder(s, N, K, x_min)
+            # rounding ~ eps * (number of terms) * (largest term magnitude)
+            peak = x_min ** (-sigma) if sigma < 0 else 1.0
+            rnd = 8 * _EPS * (N + K + 4) * max(1.0, peak)
+            if rem <= tol and (best_feasible is None or rnd < best_feasible[2]):
+                best_feasible = (N, K, rnd)
+            if best_any is None or rem + rnd < best_any[2]:
+                best_any = (N, K, rem + rnd)
+    return best_feasible if best_feasible is not None else best_any
+
+
+_A_MINS = (1 / 229, 1 / 49, 1 / 7, 1 / 5, 1.0)
+_TOLS = (1e-13, 1e-15, 1e-9)
+
+
+def test_em_policy_matches_reference_bit_for_bit():
+    pts = lattice_points(2000, (-80.0, 80.0), (-101.0, 101.0))
+    # the Pochhammer product vanishes at s = 0, -1, ..., -60
+    pts += [complex(-n) for n in range(61)] + [complex(-n - 0.5) for n in range(60)]
+    for idx, s in enumerate(pts):
+        tol = _TOLS[idx % len(_TOLS)]
+        for a_min in _A_MINS:
+            N, K, rem = sp._choose_em_params(s, a_min, tol)
+            rN, rK, _ = _ref_choose_em_params(s, a_min, tol)
+            assert (N, K) == (rN, rK), (s, a_min, tol)
+            ref = _ref_em_remainder(s, N, K, N + a_min)
+            assert repr(rem) == repr(ref), (s, a_min, tol)
+            assert repr(sp._em_remainder(s, N, K, N + a_min)) == repr(ref)
+
+
+def test_em_remainder_matches_reference_at_the_edges():
+    # sigma + 2K + 1 <= 0 for small K, and Pochhammer zeros inside 2K + 1
+    pts = [complex(-n) for n in range(61)] + [-20.5 + 3j, -40.0 + 0.25j, -7.5 - 1e-9j]
+    for s in pts:
+        for K in range(60):
+            for x_min in (1.0 + 1 / 229, 24.2, 4000.5):
+                got = sp._em_remainder(s, 0, K, x_min)
+                assert repr(got) == repr(_ref_em_remainder(s, 0, K, x_min)), (s, K, x_min)
+
+
+def test_hurwitz_core_returns_the_chosen_pairs_remainder():
+    for s in lattice_points(60, (-80.0, 80.0), (-101.0, 101.0)) + [0j, -3 + 0j]:
+        a = np.array([1 / 7, 3 / 7, 1.0])
+        N, K, _ = sp._choose_em_params(s, 1 / 7, 1e-13)
+        *_, rem = sp._hurwitz_core(s, a, False, 1e-13)
+        assert rem == sp._em_remainder(s, N, K, N + 1 / 7), s
+
+
+def test_hurwitz_grid_raises_at_its_term_cap():
+    s = np.array([0.5 + 10j, 1.5 - 3j])
+    a = np.array([0.2, 1.0])
+    vals, _, errs = sp.hurwitz_grid(s, a, tol=1e-10)
+    assert np.all(np.isfinite(vals)) and np.all(errs < 1e-9)
+    with pytest.raises(PrecisionLossError):
+        sp.hurwitz_grid(s, a, tol=1e-300)
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from lderiv import characters as ch
@@ -118,6 +119,50 @@ def test_count_N1_matches_oracle(chi5):
         n = zr.count_N1(chi5, T)
         oracle = zr.grid_zero_scan(chi5, T)
         assert n == len(oracle), (T, n, oracle)
+
+
+def _ref_local_minima(vals, prev_row, next_row, threshold):
+    """The oracle's former per-entry loop, with next_row as the lower
+    neighbour of the last row."""
+    out = []
+    for i in range(len(vals)):
+        row = vals[i]
+        up = vals[i - 1] if i > 0 else prev_row
+        down = vals[i + 1] if i + 1 < len(vals) else next_row
+        for jx in np.flatnonzero(row < threshold):
+            v = row[jx]
+            if jx > 0 and row[jx - 1] < v:
+                continue
+            if jx + 1 < len(row) and row[jx + 1] < v:
+                continue
+            if up is not None and up[jx] < v:
+                continue
+            if down is not None and down[jx] < v:
+                continue
+            out.append((i, jx))
+    return out
+
+
+def test_local_minima_sees_the_next_bands_first_row():
+    vals = np.full((3, 5), 0.5)
+    vals[2, 2] = 0.01  # a dip in the band's last row ...
+    next_row = np.full(5, 0.5)
+    next_row[2] = 0.001  # ... that the next band's first row undercuts
+    rows, cols = zr._local_minima(vals, None, next_row, 0.1)
+    assert rows.size == 0
+    rows, cols = zr._local_minima(vals, None, None, 0.1)
+    assert list(zip(rows, cols)) == [(2, 2)]
+
+
+def test_local_minima_matches_the_loop():
+    x = np.arange(40)[None, :] * 0.37
+    y = np.arange(30)[:, None] * 0.53
+    grid = np.abs(np.sin(x) * np.cos(y) + 0.3 * np.sin(2.1 * x + y))
+    for prev_row, vals, next_row in ((None, grid[:12], grid[12]), (grid[11], grid[12:], None)):
+        rows, cols = zr._local_minima(vals, prev_row, next_row, 0.2)
+        ref = _ref_local_minima(vals, prev_row, next_row, 0.2)
+        assert len(ref) > 3
+        assert list(zip(rows.tolist(), cols.tolist())) == ref
 
 
 def test_count_N1_integer_stability(chi5):
