@@ -464,15 +464,18 @@ def logderiv_euler_product(chi: DirichletCharacter, s: complex, N: int = 1000) -
 # ----------------------------------------------------------------------
 # vectorized evaluation on grids with Re s > 0 (zero scans)
 
-def _grid_eval(chi: DirichletCharacter, S: np.ndarray, deriv: bool, chunk: int = 4096):
+_GRID_CHUNK = 4096  # points per hurwitz_grid call
+
+
+def _grid_eval(chi: DirichletCharacter, S: np.ndarray, deriv: bool):
     S = np.asarray(S, dtype=complex).ravel()
     if S.real.min() <= 0.0:
         raise DomainError("grid evaluators serve only Re s > 0")
     a, w = _coprime_residues(chi)
     lq = math.log(chi.q)
     out = np.empty(S.shape, dtype=complex)
-    for start in range(0, len(S), chunk):
-        sl = slice(start, min(len(S), start + chunk))
+    for start in range(0, len(S), _GRID_CHUNK):
+        sl = slice(start, min(len(S), start + _GRID_CHUNK))
         s = S[sl]
         vals, dvals, _ = hurwitz_grid(s, a, want_ds=deriv)
         qps = np.exp(-s * lq)

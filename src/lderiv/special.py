@@ -5,7 +5,9 @@ zeta continuation is Euler-Maclaurin: a truncated sum, the two closing
 terms, and Bernoulli corrections, with (N, K) chosen per point so that the
 standard remainder bound plus a rounding estimate meets the target.  The
 candidate pairs of a point share one prefix sum of log|s + i| for the
-Pochhammer factor of that bound, so each pair costs only a few flops.  The
+Pochhammer factor of that bound, so each pair costs only a few flops.  One
+engine, _em_eval, serves single points and the grids of the zero scans; a
+grid row is bit for bit the single-point evaluation at that s.  The
 derivative in s comes from termwise differentiation of the same expansion;
 a Cauchy-circle quadrature of the undifferentiated routine is kept as an
 independent cross-check of that route.
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -233,7 +236,7 @@ def _choose_em_params(s: complex, a_min: float, tol: float) -> tuple[int, int, f
                           max(32, n_base), max(64, 2 * n_base)})
     Ks = [K for K in (k_min, k_min + 6, k_min + 14, k_min + 24) if K <= 59]
     if not Ks:
-        return None
+        raise PrecisionLossError(f"no Euler-Maclaurin K <= 59 serves s = {s}", math.inf)
     parts = _em_log_parts(s, Ks)
     # per N: log x_min and the rounding peak max(1, x_min^-sigma)
     per_n = []
@@ -256,39 +259,62 @@ def _choose_em_params(s: complex, a_min: float, tol: float) -> tuple[int, int, f
     return N, K, rem
 
 
-def _em_eval(s: complex, a: np.ndarray, N: int, K: int, want_ds: bool):
+def _cmul(z, w):
+    """z * w on arrays, each real product rounded on its own as CPython
+    multiplies two complex scalars.  NumPy's complex multiply may fuse a
+    product into the add that follows it, which can move the last bit."""
+    out = np.empty(np.broadcast(z, w).shape, dtype=complex)
+    out.real = z.real * w.real - z.imag * w.imag
+    out.imag = z.real * w.imag + z.imag * w.real
+    return out
+
+
+def _em_eval(s, a: np.ndarray, N: int, K: int, want_ds: bool, want_abs: bool = False):
     """Euler-Maclaurin evaluation of zeta(s, a) (and d/ds) for an array of a.
 
-    Returns (vals, dvals, abs_accum) where abs_accum tracks the summed
-    magnitudes for the rounding estimate; dvals is None unless want_ds.
+    s is one complex, giving results of shape (A,), or an array of shape
+    (C,), giving results of shape (C, A) whose rows are bit for bit the
+    scalar calls.  Returns (vals, dvals, absacc): dvals is None unless
+    want_ds, and absacc, the summed magnitudes behind the rounding estimate,
+    is None unless want_abs.
     """
+    batch = isinstance(s, np.ndarray)
+    if batch:
+        s = np.asarray(s, dtype=complex)[:, None]  # (C, 1) against a's (A,)
+        s_n, mul = s[:, :, None], _cmul  # (C, 1, 1) against the (A, N) summands
+    else:
+        s_n, mul = s, operator.mul
     a = np.asarray(a, dtype=float)
     x = N + a
     logx = np.log(x)
-    if N > 0:
-        base = np.arange(N)[None, :] + a[:, None]
-        logb = np.log(base)
-        terms = np.exp(-s * logb)
-        psum = terms.sum(axis=1)
-        absacc = np.abs(terms).sum(axis=1)
-        dsum = -(logb * terms).sum(axis=1) if want_ds else None
-    else:
-        psum = np.zeros_like(a, dtype=complex)
-        absacc = np.zeros_like(a)
-        dsum = np.zeros_like(a, dtype=complex) if want_ds else None
+    logb = np.log(np.arange(N) + a[:, None])
+    # in place, so that a grid holds one (C, A, N) array at a time: its memory peak
+    terms = -s_n * logb
+    np.exp(terms, out=terms)
+    psum = terms.sum(axis=-1)
+    absacc = np.abs(terms).sum(axis=-1) if want_abs else None
+    dsum = None
+    if want_ds:
+        terms *= logb
+        dsum = -terms.sum(axis=-1)
+    del terms
 
     xp1ms = np.exp((1.0 - s) * logx)
     main1 = xp1ms / (s - 1.0)
     xpms = np.exp(-s * logx)
     main2 = 0.5 * xpms
     vals = psum + main1 + main2
-    absacc = absacc + np.abs(main1) + np.abs(main2)
+    if want_abs:
+        absacc = absacc + np.abs(main1) + np.abs(main2)
+    dvals = None
     if want_ds:
-        dmain1 = xp1ms * (-logx / (s - 1.0) - 1.0 / (s - 1.0) ** 2)
+        if batch:  # CPython's complex power and quotient, as a scalar call has them
+            inv_sq = np.array([1.0 / (z - 1.0) ** 2 for z in s[:, 0].tolist()])[:, None]
+        else:
+            inv_sq = 1.0 / (s - 1.0) ** 2
+        dmain1 = xp1ms * (-logx / (s - 1.0) - inv_sq)
         dmain2 = -0.5 * logx * xpms
         dvals = dsum + dmain1 + dmain2
-    else:
-        dvals = None
 
     # Bernoulli corrections: coef_j * (s)_{2j-1} * x^(-s-2j+1)
     P = s  # (s)_1
@@ -297,15 +323,17 @@ def _em_eval(s: complex, a: np.ndarray, N: int, K: int, want_ds: bool):
     x2 = x * x
     for j in range(1, K + 1):
         c = _em_coef(j)
-        term = c * P * xpow
+        term = c * P * xpow  # c is real, so NumPy rounds c * P as CPython does
         vals = vals + term
-        absacc = absacc + np.abs(term)
+        if want_abs:
+            absacc = absacc + np.abs(term)
         if want_ds:
             dvals = dvals + c * xpow * (dP - logx * P)
         u = s + (2 * j - 1)
         v = s + 2 * j
-        dP = dP * (u * v) + P * (u + v)
-        P = P * (u * v)
+        uv = mul(u, v)
+        dP = mul(dP, uv) + mul(P, u + v)
+        P = mul(P, uv)
         xpow = xpow / x2
     return vals, dvals, absacc
 
@@ -323,7 +351,7 @@ def _hurwitz_core(s: complex, a: np.ndarray, want_ds: bool, tol: float):
     if np.any(a <= 0.0) or np.any(a > 1.0):
         raise DomainError("shift parameter a must lie in (0, 1]")
     N, K, rem = _choose_em_params(s, float(a.min()), tol)
-    vals, dvals, absacc = _em_eval(s, a, N, K, want_ds)
+    vals, dvals, absacc = _em_eval(s, a, N, K, want_ds, want_abs=True)
     errs = rem + 8 * _EPS * absacc
     if want_ds:
         # differentiated series: remainder picks up roughly a log x factor
@@ -334,69 +362,22 @@ def _hurwitz_core(s: complex, a: np.ndarray, want_ds: bool, tol: float):
     return vals, None, errs, None, rem
 
 
-def _em_remainder_grid(sigma_min: float, s_abs_max: float, N: int, K: int, x_min: float) -> float:
-    """Conservative remainder bound valid for every s in a grid chunk."""
-    if sigma_min + 2 * K + 1 <= 0:
-        return math.inf
+def _em_remainder_grid(sigma_min: float, s_abs_max: float, K: int, x_min: float) -> float:
+    """Conservative remainder bound valid for every s in a grid chunk (sigma_min > 0)."""
     log_poch = sum(math.log(i + s_abs_max) for i in range(2 * K + 1))
-    log_r = (
-        math.log(abs(_em_coef(K + 1)))
-        + log_poch
-        + (-sigma_min - 2 * K - 1) * math.log(x_min)
-        + math.log(max(1.0, (s_abs_max + 2 * K + 1) / (sigma_min + 2 * K + 1)))
-    )
-    return math.exp(log_r) if log_r < 700 else math.inf
-
-
-def _em_eval_grid(s: np.ndarray, a: np.ndarray, N: int, K: int, want_ds: bool):
-    """Grid variant of _em_eval: s of shape (C,), a of shape (A,).
-
-    Returns (vals, dvals) of shape (C, A).  Used by the zero-scan grid
-    evaluators, which only operate at sigma > 0, so no rounding blow-up.
-    """
-    s = np.asarray(s, dtype=complex)[:, None]
-    a = np.asarray(a, dtype=float)[None, :]
-    x = N + a
-    logx = np.log(x)
-    base = np.arange(N)[None, :] + a.T  # (A, N)
-    logb = np.log(base)
-    terms = np.exp(-s[:, :, None] * logb[None, :, :])  # (C, A, N)
-    psum = terms.sum(axis=2)
-    dsum = -(logb[None, :, :] * terms).sum(axis=2) if want_ds else None
-    del terms
-
-    xp1ms = np.exp((1.0 - s) * logx)
-    main1 = xp1ms / (s - 1.0)
-    xpms = np.exp(-s * logx)
-    vals = psum + main1 + 0.5 * xpms
-    if want_ds:
-        dvals = dsum + xp1ms * (-logx / (s - 1.0) - (s - 1.0) ** -2) - 0.5 * logx * xpms
-    else:
-        dvals = None
-
-    P = s.copy()
-    dP = np.ones_like(s)
-    xpow = np.exp((-s - 1.0) * logx)
-    x2 = x * x
-    for j in range(1, K + 1):
-        c = _em_coef(j)
-        vals = vals + c * P * xpow
-        if want_ds:
-            dvals = dvals + c * xpow * (dP - logx * P)
-        u = s + (2 * j - 1)
-        v = s + 2 * j
-        dP = dP * (u * v) + P * (u + v)
-        P = P * (u * v)
-        xpow = xpow / x2
-    return vals, dvals
+    lead = math.log(abs(_em_coef(K + 1))) + log_poch
+    tail = math.log(max(1.0, (s_abs_max + 2 * K + 1) / (sigma_min + 2 * K + 1)))
+    return _em_bound((lead, -sigma_min - 2 * K - 1, tail), math.log(x_min))
 
 
 def hurwitz_grid(s: np.ndarray, a: np.ndarray, want_ds: bool = False, tol: float = 1e-10):
     """Vectorized zeta(s, a) over a grid of s (all with Re s > 0) and a row of a.
 
-    Returns (vals, dvals, err) with err one conservative scalar bound for
-    the whole chunk.  Raises PrecisionLossError when N = 4000 terms cannot
-    bring the remainder bound down to tol.
+    The engine is the single-point one (_em_eval), run once for the chunk
+    with one (N, K).  Returns (vals, dvals, err), err of shape (C, A): one
+    conservative remainder bound for the whole chunk plus rounding.  Raises
+    PrecisionLossError when N = 4000 terms cannot bring the remainder bound
+    down to tol.
     """
     s = np.asarray(s, dtype=complex).ravel()
     a = np.asarray(a, dtype=float).ravel()
@@ -410,18 +391,30 @@ def hurwitz_grid(s: np.ndarray, a: np.ndarray, want_ds: bool = False, tol: float
     a_min = float(a.min())
     N = max(20, math.ceil(1.3 * t_max))
     K = 25
-    x_min = N + a_min
-    rem = _em_remainder_grid(sigma_min, s_abs_max, N, K, x_min)
+    rem = _em_remainder_grid(sigma_min, s_abs_max, K, N + a_min)
     while rem > tol and N < 4000:
         N = int(N * 1.6) + 4
-        rem = _em_remainder_grid(sigma_min, s_abs_max, N, K, N + a_min)
+        rem = _em_remainder_grid(sigma_min, s_abs_max, K, N + a_min)
     if rem > tol:
         raise PrecisionLossError(f"hurwitz_grid: tol {tol} unreachable with N <= 4000", rem)
-    vals, dvals = _em_eval_grid(s, a, N, K, want_ds)
+    vals, dvals, _ = _em_eval(s, a, N, K, want_ds)
     rem_out = rem * (1.0 if not want_ds else math.log(N + 2.0) + 2 * (2 * K + 1))
     ref = np.abs(dvals if want_ds else vals)
     errs = rem_out + 16 * _EPS * (N + K) * (1.0 + ref)
     return vals, dvals, errs
+
+
+def _hurwitz_checked(s: complex, a: float, want_ds: bool, rel: float, shrink: float, what: str):
+    """zeta(s, a) or its d/ds within rel (1 + |value|) in the remainder bound,
+    retrying once with tol = rel (1 + |value|) / shrink when 1e-13 falls short."""
+    k = 1 if want_ds else 0  # out[k] holds the values, out[2 + k] their errs
+    out = _hurwitz_core(s, [a], want_ds, 1e-13)
+    target = rel * (1.0 + abs(complex(out[k][0])))
+    if out[4] > target:
+        out = _hurwitz_core(s, [a], want_ds, target / shrink)
+        if out[4] > target:
+            raise PrecisionLossError(f"{what}({s}, {a}) target unreachable", out[4])
+    return ComplexValue(complex(out[k][0]), float(out[2 + k][0]))
 
 
 def hurwitz_zeta(s: complex, a: float) -> ComplexValue:
@@ -430,28 +423,12 @@ def hurwitz_zeta(s: complex, a: float) -> ComplexValue:
     (N, K) are chosen so the series remainder bound meets 1e-12 (1 + |zeta|);
     the returned err adds a conservative rounding estimate on top.
     """
-    vals, _, errs, _, rem = _hurwitz_core(s, [a], False, 1e-13)
-    val, err = complex(vals[0]), float(errs[0])
-    target = 1e-12 * (1.0 + abs(val))
-    if rem > target:
-        vals, _, errs, _, rem = _hurwitz_core(s, [a], False, target)
-        val, err = complex(vals[0]), float(errs[0])
-        if rem > target:
-            raise PrecisionLossError(f"hurwitz_zeta({s}, {a}) target unreachable", rem)
-    return ComplexValue(val, err)
+    return _hurwitz_checked(s, a, False, 1e-12, 1.0, "hurwitz_zeta")
 
 
 def hurwitz_zeta_ds(s: complex, a: float) -> ComplexValue:
     """d/ds zeta(s, a), termwise-differentiated Euler-Maclaurin."""
-    vals, dvals, errs, errs_ds, rem = _hurwitz_core(s, [a], True, 1e-13)
-    dval, derr = complex(dvals[0]), float(errs_ds[0])
-    target = 1e-11 * (1.0 + abs(dval))
-    if rem > target:
-        vals, dvals, errs, errs_ds, rem = _hurwitz_core(s, [a], True, target / 50.0)
-        dval, derr = complex(dvals[0]), float(errs_ds[0])
-        if rem > target:
-            raise PrecisionLossError(f"hurwitz_zeta_ds({s}, {a}) target unreachable", rem)
-    return ComplexValue(dval, derr)
+    return _hurwitz_checked(s, a, True, 1e-11, 50.0, "hurwitz_zeta_ds")
 
 
 def hurwitz_zeta_cauchy_ds(

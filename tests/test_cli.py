@@ -3,6 +3,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from lderiv import cli
 from lderiv.report import CSV_COLUMNS, VerificationReport
@@ -89,6 +93,17 @@ def test_verify_deterministic_output(capsys):
     code2, out2 = run_cli(capsys, "verify", "constants")
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_verify_csv_identical_across_interpreters():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
+    argv = [sys.executable, "-m", "lderiv.cli", "verify", "region", "--q", "5",
+            "--label", "1", "--region", "line:1", "--csv"]
+    outs = [subprocess.run(argv, env=env, capture_output=True, check=True, timeout=300).stdout
+            for _ in range(2)]
+    assert outs[0] and outs[0] == outs[1]
 
 
 def test_verify_label_all(capsys):

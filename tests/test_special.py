@@ -120,6 +120,16 @@ def test_hurwitz_pole_and_domain():
         sp.hurwitz_zeta(2.0, 0.0)
 
 
+def test_hurwitz_beyond_the_correction_cap_raises_precision_loss():
+    # sigma < -115 needs K > 59 Bernoulli corrections
+    with pytest.raises(PrecisionLossError):
+        sp._choose_em_params(-120 + 1j, 0.5, 1e-13)
+    with pytest.raises(PrecisionLossError):
+        sp.hurwitz_zeta(-120 + 1j, 0.5)
+    with pytest.raises(PrecisionLossError):
+        sp.hurwitz_zeta_ds(-120 + 1j, 0.5)
+
+
 def test_hurwitz_ds_classical_value():
     # zeta'(0) = -log(2 pi)/2
     assert abs(sp.hurwitz_zeta_ds(0, 1).value - (-0.5 * math.log(2 * math.pi))) < 1e-12
@@ -245,6 +255,239 @@ def test_hurwitz_grid_raises_at_its_term_cap():
     assert np.all(np.isfinite(vals)) and np.all(errs < 1e-9)
     with pytest.raises(PrecisionLossError):
         sp.hurwitz_grid(s, a, tol=1e-300)
+
+
+# Euler-Maclaurin engine: verbatim copies of the scalar engine and of the
+# grid engine it absorbed, kept as references for the merged _em_eval.
+
+def _ref_em_eval(s: complex, a: np.ndarray, N: int, K: int, want_ds: bool):
+    """Euler-Maclaurin evaluation of zeta(s, a) (and d/ds) for an array of a.
+
+    Returns (vals, dvals, abs_accum) where abs_accum tracks the summed
+    magnitudes for the rounding estimate; dvals is None unless want_ds.
+    """
+    a = np.asarray(a, dtype=float)
+    x = N + a
+    logx = np.log(x)
+    if N > 0:
+        base = np.arange(N)[None, :] + a[:, None]
+        logb = np.log(base)
+        terms = np.exp(-s * logb)
+        psum = terms.sum(axis=1)
+        absacc = np.abs(terms).sum(axis=1)
+        dsum = -(logb * terms).sum(axis=1) if want_ds else None
+    else:
+        psum = np.zeros_like(a, dtype=complex)
+        absacc = np.zeros_like(a)
+        dsum = np.zeros_like(a, dtype=complex) if want_ds else None
+
+    xp1ms = np.exp((1.0 - s) * logx)
+    main1 = xp1ms / (s - 1.0)
+    xpms = np.exp(-s * logx)
+    main2 = 0.5 * xpms
+    vals = psum + main1 + main2
+    absacc = absacc + np.abs(main1) + np.abs(main2)
+    if want_ds:
+        dmain1 = xp1ms * (-logx / (s - 1.0) - 1.0 / (s - 1.0) ** 2)
+        dmain2 = -0.5 * logx * xpms
+        dvals = dsum + dmain1 + dmain2
+    else:
+        dvals = None
+
+    # Bernoulli corrections: coef_j * (s)_{2j-1} * x^(-s-2j+1)
+    P = s  # (s)_1
+    dP = 1.0 + 0j
+    xpow = np.exp((-s - 1.0) * logx)
+    x2 = x * x
+    for j in range(1, K + 1):
+        c = sp._em_coef(j)
+        term = c * P * xpow
+        vals = vals + term
+        absacc = absacc + np.abs(term)
+        if want_ds:
+            dvals = dvals + c * xpow * (dP - logx * P)
+        u = s + (2 * j - 1)
+        v = s + 2 * j
+        dP = dP * (u * v) + P * (u + v)
+        P = P * (u * v)
+        xpow = xpow / x2
+    return vals, dvals, absacc
+
+
+def _ref_hurwitz_core(s: complex, a: np.ndarray, want_ds: bool, tol: float):
+    """(vals, dvals, errs, errs_ds, rem): engine with per-point error estimates.
+
+    errs combine the proven remainder bound with a conservative rounding
+    term; rem is the remainder bound alone (what the (N, K) policy controls).
+    """
+    s = complex(s)
+    if s == 1.0:
+        raise PoleError("Hurwitz zeta pole at s = 1")
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    if np.any(a <= 0.0) or np.any(a > 1.0):
+        raise DomainError("shift parameter a must lie in (0, 1]")
+    N, K, rem = sp._choose_em_params(s, float(a.min()), tol)
+    vals, dvals, absacc = _ref_em_eval(s, a, N, K, want_ds)
+    errs = rem + 8 * sp._EPS * absacc
+    if want_ds:
+        # differentiated series: remainder picks up roughly a log x factor
+        errs_ds = rem * (math.log(N + 1.0) + 2.0 * (2 * K + 1)) + 8 * sp._EPS * absacc * (
+            math.log(N + 2.0) + 1.0
+        )
+        return vals, dvals, errs, errs_ds, rem
+    return vals, None, errs, None, rem
+
+
+def _ref_em_remainder_grid(sigma_min: float, s_abs_max: float, N: int, K: int, x_min: float) -> float:
+    """Conservative remainder bound valid for every s in a grid chunk."""
+    if sigma_min + 2 * K + 1 <= 0:
+        return math.inf
+    log_poch = sum(math.log(i + s_abs_max) for i in range(2 * K + 1))
+    log_r = (
+        math.log(abs(sp._em_coef(K + 1)))
+        + log_poch
+        + (-sigma_min - 2 * K - 1) * math.log(x_min)
+        + math.log(max(1.0, (s_abs_max + 2 * K + 1) / (sigma_min + 2 * K + 1)))
+    )
+    return math.exp(log_r) if log_r < 700 else math.inf
+
+
+def _ref_em_eval_grid(s: np.ndarray, a: np.ndarray, N: int, K: int, want_ds: bool):
+    """Grid variant of _ref_em_eval: s of shape (C,), a of shape (A,).
+
+    Returns (vals, dvals) of shape (C, A).  Used by the zero-scan grid
+    evaluators, which only operate at sigma > 0, so no rounding blow-up.
+    """
+    s = np.asarray(s, dtype=complex)[:, None]
+    a = np.asarray(a, dtype=float)[None, :]
+    x = N + a
+    logx = np.log(x)
+    base = np.arange(N)[None, :] + a.T  # (A, N)
+    logb = np.log(base)
+    terms = np.exp(-s[:, :, None] * logb[None, :, :])  # (C, A, N)
+    psum = terms.sum(axis=2)
+    dsum = -(logb[None, :, :] * terms).sum(axis=2) if want_ds else None
+    del terms
+
+    xp1ms = np.exp((1.0 - s) * logx)
+    main1 = xp1ms / (s - 1.0)
+    xpms = np.exp(-s * logx)
+    vals = psum + main1 + 0.5 * xpms
+    if want_ds:
+        dvals = dsum + xp1ms * (-logx / (s - 1.0) - (s - 1.0) ** -2) - 0.5 * logx * xpms
+    else:
+        dvals = None
+
+    P = s.copy()
+    dP = np.ones_like(s)
+    xpow = np.exp((-s - 1.0) * logx)
+    x2 = x * x
+    for j in range(1, K + 1):
+        c = sp._em_coef(j)
+        vals = vals + c * P * xpow
+        if want_ds:
+            dvals = dvals + c * xpow * (dP - logx * P)
+        u = s + (2 * j - 1)
+        v = s + 2 * j
+        dP = dP * (u * v) + P * (u + v)
+        P = P * (u * v)
+        xpow = xpow / x2
+    return vals, dvals
+
+
+def _ref_hurwitz_grid(s: np.ndarray, a: np.ndarray, want_ds: bool = False, tol: float = 1e-10):
+    """Vectorized zeta(s, a) over a grid of s (all with Re s > 0) and a row of a.
+
+    Returns (vals, dvals, err) with err one conservative scalar bound for
+    the whole chunk.  Raises PrecisionLossError when N = 4000 terms cannot
+    bring the remainder bound down to tol.
+    """
+    s = np.asarray(s, dtype=complex).ravel()
+    a = np.asarray(a, dtype=float).ravel()
+    sigma_min = float(s.real.min())
+    if sigma_min <= 0.0:
+        raise DomainError("hurwitz_grid serves only Re s > 0")
+    if np.any(np.abs(s - 1.0) < 1e-12):
+        raise PoleError("grid contains the pole s = 1")
+    s_abs_max = float(np.abs(s).max())
+    t_max = float(np.abs(s.imag).max())
+    a_min = float(a.min())
+    N = max(20, math.ceil(1.3 * t_max))
+    K = 25
+    x_min = N + a_min
+    rem = _ref_em_remainder_grid(sigma_min, s_abs_max, N, K, x_min)
+    while rem > tol and N < 4000:
+        N = int(N * 1.6) + 4
+        rem = _ref_em_remainder_grid(sigma_min, s_abs_max, N, K, N + a_min)
+    if rem > tol:
+        raise PrecisionLossError(f"hurwitz_grid: tol {tol} unreachable with N <= 4000", rem)
+    vals, dvals = _ref_em_eval_grid(s, a, N, K, want_ds)
+    rem_out = rem * (1.0 if not want_ds else math.log(N + 2.0) + 2 * (2 * K + 1))
+    ref = np.abs(dvals if want_ds else vals)
+    errs = rem_out + 16 * sp._EPS * (N + K) * (1.0 + ref)
+    return vals, dvals, errs
+
+
+def _rows():
+    """The shifts a/q, gcd(a, q) = 1, of the characters mod 5, 7, 49, 229."""
+    return [np.array([a for a in range(1, q) if math.gcd(a, q) == 1]) / q
+            for q in (5, 7, 49, 229)]
+
+
+def _same_bytes(x, y):
+    if x is None or y is None:
+        return x is None and y is None
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+# real, imaginary and integer points put signed zeros into the products
+_EDGE_POINTS = [0j, -3 + 0j, 2 + 0j, 0.5j, -40.5 + 0j, 2 + 1j, 1 - 7j, -80 + 101j]
+
+
+def test_hurwitz_core_matches_reference_engine_bit_for_bit():
+    pts = lattice_points(390, (-80.0, 80.0), (-101.0, 101.0)) + _EDGE_POINTS
+    for a in _rows():
+        for s in pts:
+            for want_ds in (False, True):
+                got = sp._hurwitz_core(s, a, want_ds, 1e-13)
+                ref = _ref_hurwitz_core(s, a, want_ds, 1e-13)
+                assert all(_same_bytes(g, r) for g, r in zip(got, ref)), (s, len(a), want_ds)
+
+
+def test_em_eval_batch_rows_equal_scalar_calls():
+    S = np.array(lattice_points(40, (-80.0, 80.0), (-101.0, 101.0)) + _EDGE_POINTS)
+    for a in _rows():
+        for N, K in ((2, 6), (20, 25), (110, 59)):
+            for want_ds in (False, True):
+                vals, dvals, absacc = sp._em_eval(S, a, N, K, want_ds, want_abs=True)
+                assert vals.shape == absacc.shape == (len(S), len(a))
+                for i, s in enumerate(S):
+                    v, d, acc = sp._em_eval(complex(s), a, N, K, want_ds, want_abs=True)
+                    assert _same_bytes(vals[i], v) and _same_bytes(absacc[i], acc), (s, N, K)
+                    assert _same_bytes(None if d is None else dvals[i], d), (s, N, K)
+
+
+def test_em_eval_builds_absacc_only_on_request():
+    a = np.array([0.2, 1.0])
+    assert sp._em_eval(2 + 1j, a, 20, 6, False)[2] is None
+    assert sp._em_eval(np.array([2 + 1j]), a, 20, 6, True)[2] is None
+
+
+def test_hurwitz_grid_matches_reference_grid():
+    sig = np.linspace(0.05, 3.0, 8)
+    for a in _rows():
+        for t0, t1, tol in ((-30.0, 30.0, 1e-10), (60.0, 101.0, 1e-10), (-5.0, 5.0, 1e-14)):
+            ts = np.linspace(t0, t1, 15)
+            S = (sig[None, :] + 1j * ts[:, None]).ravel()
+            vals, _, errs = sp.hurwitz_grid(S, a, tol=tol)
+            rvals, _, rerrs = _ref_hurwitz_grid(S, a, tol=tol)
+            assert _same_bytes(vals, rvals) and _same_bytes(errs, rerrs), (len(a), t0, tol)
+            # only the 1/(s - 1)^2 term of d/ds changed its rounding
+            vals, dvals, _ = sp.hurwitz_grid(S, a, want_ds=True, tol=tol)
+            rvals, rdvals, _ = _ref_hurwitz_grid(S, a, want_ds=True, tol=tol)
+            assert _same_bytes(vals, rvals)
+            assert np.all(np.abs(dvals - rdvals) <= 1e-14 * (1.0 + np.abs(rdvals))), (len(a), t0)
 
 
 # ----------------------------------------------------------------------

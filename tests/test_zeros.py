@@ -104,6 +104,15 @@ def test_alpha_containment_mod7():
     assert abs(rec.location + 2 * j + chi.kappa) < 2.0 / math.log(j * 7)
 
 
+def test_locate_in_strip_finds_the_certified_trivial_zero():
+    # the quadrisection fallback of locate_trivial_zero, called directly
+    for q in (7, 5):
+        chi = ch.enumerate_primitive(q)[0]
+        rec = zr.locate_trivial_zero(chi, 1)
+        z = zr._locate_in_strip(chi, -2 - chi.kappa)
+        assert abs(z - rec.location) <= rec.radius, (q, z, rec)
+
+
 def test_alpha_window_domain_error(chi5):
     with pytest.raises(DomainError):
         zr.locate_trivial_zero(chi5, 0)
