@@ -21,6 +21,8 @@ from functools import lru_cache
 from itertools import product
 from typing import Optional
 
+import numpy as np
+
 from .errors import DomainError
 from .numtypes import ComplexValue
 
@@ -28,6 +30,7 @@ __all__ = [
     "CyclicFactor",
     "UnitGroupDecomposition",
     "DirichletCharacter",
+    "CharacterData",
     "unit_group",
     "enumerate_primitive",
     "from_label",
@@ -207,33 +210,61 @@ class DirichletCharacter:
             label=label,
         )
 
-    def values_array(self):
-        """chi(0..q-1) as a complex numpy array (cached per character)."""
-        import numpy as np
-
+    @property
+    def data(self) -> "CharacterData":
+        """The character's precomputed record, built on first request."""
         key = (self.q, self.label)
-        arr = _VALUES_CACHE.get(key)
-        if arr is None:
-            arr = np.array([self(a) for a in range(self.q)], dtype=complex)
-            _VALUES_CACHE[key] = arr
-        return arr
+        rec = _CHARACTER_DATA.get(key)
+        if rec is None:
+            rec = _CHARACTER_DATA[key] = _build_data(self)
+        return rec
+
+    def values_array(self) -> np.ndarray:
+        """chi(0..q-1) as a read-only complex numpy array."""
+        return self.data.values
 
     @property
     def max_partial_sum(self) -> float:
         """max_j |sum_{n<=j} chi(n)| over one period; Abel tail bounds use it."""
-        key = (self.q, self.label)
-        val = _PARTIAL_CACHE.get(key)
-        if val is None:
-            s, best = 0j, 0.0
-            for a in range(self.q):
-                s += self(a)
-                best = max(best, abs(s))
-            _PARTIAL_CACHE[key] = val = best
-        return val
+        return self.data.max_partial_sum
 
 
-_VALUES_CACHE: dict = {}
-_PARTIAL_CACHE: dict = {}
+@dataclass(frozen=True)
+class CharacterData:
+    """What evaluation needs of one character, computed once; arrays read-only.
+
+    residues are a/q and weights chi(a) for the a in 1..q coprime to q (the
+    Hurwitz sum); epsilon is the root number tau(chi) / (i^kappa sqrt(q));
+    conj is the conjugate character.
+    """
+
+    values: np.ndarray
+    residues: np.ndarray
+    weights: np.ndarray
+    max_partial_sum: float
+    epsilon: ComplexValue
+    conj: DirichletCharacter
+
+
+_CHARACTER_DATA: dict[tuple[int, int], CharacterData] = {}
+
+
+def _build_data(chi: DirichletCharacter) -> CharacterData:
+    q = chi.q
+    vals = [chi(a) for a in range(q)]
+    values = np.array(vals, dtype=complex)
+    idx = np.array([a for a in range(1, q + 1) if chi.exponents[a % q] is not None])
+    weights = values[idx % q]
+    residues = idx.astype(float) / q
+    total, best = 0j, 0.0
+    for v in vals:
+        total += v
+        best = max(best, abs(total))
+    tau = gauss_sum(chi)
+    epsilon = ComplexValue(tau.value / (1j ** chi.kappa * math.sqrt(q)), tau.err / math.sqrt(q))
+    for arr in (values, residues, weights):
+        arr.flags.writeable = False
+    return CharacterData(values, residues, weights, best, epsilon, chi.conjugate())
 
 
 def min_coprime(q: int) -> int:

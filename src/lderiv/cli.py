@@ -124,7 +124,8 @@ _CHECKS = ("all", "region", "origin-strip", "counting", "sum-rule", "speiser", "
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a verify run depends on; no hidden state, clock, or RNG."""
+    """Which checks a verify run makes, on which characters; no hidden state,
+    clock, or RNG.  The output options stay on the parsed arguments."""
 
     check: str
     q: int | None
@@ -132,10 +133,6 @@ class RunConfig:
     T: float
     region: str
     spacing: float
-    fmt: str  # "json" | "csv"
-    out: str | None
-    jobs: int
-    timings: bool
 
     def characters(self):
         if self.label == "all":
@@ -150,16 +147,13 @@ def _config_from_args(args) -> RunConfig:
             label = int(label)
         except ValueError as exc:
             raise DomainError(f"--label expects an integer or 'all', got {label!r}") from exc
-    return RunConfig(
-        check=args.check, q=args.q, label=label, T=args.T, region=args.region,
-        spacing=args.spacing, fmt="csv" if args.csv else "json", out=args.out,
-        jobs=args.jobs, timings=args.timings,
-    )
+    return RunConfig(check=args.check, q=args.q, label=label, T=args.T,
+                     region=args.region, spacing=args.spacing)
 
 
 def _checks_for(cfg: RunConfig, chi) -> list:
     if cfg.check == "all":
-        return run_all(chi, T=cfg.T, jobs=cfg.jobs, with_constants=(cfg.label != "all"))
+        return run_all(chi, T=cfg.T, with_constants=(cfg.label != "all"))
     if cfg.check == "region":
         grid = GridSpec(dsigma=cfg.spacing, dt=cfg.spacing)
         return [check_region_negativity(chi, cfg.region, grid)]
@@ -258,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="for 'region': D1 | D2 | line:<j> | critical")
     pv.add_argument("--spacing", type=float, default=0.1)
     pv.add_argument("--csv", action="store_true")
-    pv.add_argument("--jobs", type=int, default=1)
     pv.add_argument("--timings", action="store_true")
     return p
 

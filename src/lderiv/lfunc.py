@@ -31,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .characters import DirichletCharacter, gauss_sum
+from .characters import DirichletCharacter
 from .errors import DomainError, NumericalError, PoleError, PrecisionLossError
 from .numtypes import ComplexValue
 from .special import (
@@ -97,11 +97,9 @@ class FunctionalEquationFactor:
 
 
 # ----------------------------------------------------------------------
-# caches
+# the point cache: (q, label, s, deriv) -> ComplexValue of the auto route
 
 _POINT_CACHE: dict = {}
-_EPSILON_CACHE: dict = {}
-_CONJ_CACHE: dict = {}
 _CACHE_CAP = 600_000
 
 
@@ -113,15 +111,6 @@ def _cache_put(key, val):
     if len(_POINT_CACHE) >= _CACHE_CAP:
         _POINT_CACHE.clear()
     _POINT_CACHE[key] = val
-
-
-def _conj_char(chi: DirichletCharacter) -> DirichletCharacter:
-    key = (chi.q, chi.label)
-    chib = _CONJ_CACHE.get(key)
-    if chib is None:
-        chib = chi.conjugate()
-        _CONJ_CACHE[key] = chib
-    return chib
 
 
 def _check_window(chi: DirichletCharacter, s: complex) -> None:
@@ -137,7 +126,7 @@ def _check_window(chi: DirichletCharacter, s: complex) -> None:
 def _series_cutoff(chi: DirichletCharacter, s: complex, with_log: bool, tol: float) -> int:
     """Smallest N with the Abel tail bound below tol (see module tests)."""
     sigma = s.real
-    H = 2.0 * chi.max_partial_sum + 1e-9
+    H = 2.0 * chi.data.max_partial_sum + 1e-9
     if with_log:
         n = 100.0
         for _ in range(4):
@@ -150,7 +139,7 @@ def _series_cutoff(chi: DirichletCharacter, s: complex, with_log: bool, tol: flo
 
 def _series_tail_bound(chi: DirichletCharacter, s: complex, with_log: bool, N: int) -> float:
     sigma = s.real
-    H = 2.0 * chi.max_partial_sum + 1e-9
+    H = 2.0 * chi.data.max_partial_sum + 1e-9
     if with_log:
         return H * N ** -sigma * (1.0 / sigma + abs(s) * (math.log(N) / sigma + sigma ** -2))
     return H * abs(s) / sigma * N ** -sigma
@@ -164,7 +153,7 @@ def _eval_series(chi: DirichletCharacter, s: complex, deriv: bool) -> ComplexVal
     N = _series_cutoff(chi, s, deriv, tol)
     if N > _SERIES_TERM_CAP:
         raise PrecisionLossError("direct series would need too many terms", math.nan)
-    vals = chi.values_array()
+    vals = chi.data.values
     total = 0j
     absacc = 0.0
     for start in range(1, N + 1, 400_000):
@@ -183,25 +172,14 @@ def _eval_series(chi: DirichletCharacter, s: complex, deriv: bool) -> ComplexVal
 # ----------------------------------------------------------------------
 # Hurwitz route (0 <= Re s < 2, also used on 1 < Re(1-s) < 2 by the FE route)
 
-def _coprime_residues(chi: DirichletCharacter):
-    key = (chi.q, chi.label, "resid")
-    got = _EPSILON_CACHE.get(key)
-    if got is None:
-        idx = np.array([a for a in range(1, chi.q + 1) if chi.exponents[a % chi.q] is not None])
-        weights = chi.values_array()[idx % chi.q]
-        got = (idx.astype(float) / chi.q, weights)
-        _EPSILON_CACHE[key] = got
-    return got
-
-
 def _eval_hurwitz(chi: DirichletCharacter, s: complex, deriv: bool) -> ComplexValue:
     """q^(-s) sum_a chi(a) zeta(s, a/q), differentiated termwise if deriv."""
-    a, w = _coprime_residues(chi)
-    vals, dvals, errs, errs_ds, _rem = _hurwitz_core(s, a, deriv, 1e-13)
+    d = chi.data
+    vals, dvals, errs, errs_ds, _rem = _hurwitz_core(s, d.residues, deriv, 1e-13)
     qps = cmath.exp(-s * math.log(chi.q))
-    zsum = complex(np.dot(w, vals))
+    zsum = complex(np.dot(d.weights, vals))
     if deriv:
-        out = qps * (complex(np.dot(w, dvals)) - math.log(chi.q) * zsum)
+        out = qps * (complex(np.dot(d.weights, dvals)) - math.log(chi.q) * zsum)
         err = abs(qps) * (
             float(np.sum(errs_ds)) + math.log(chi.q) * float(np.sum(errs))
         )
@@ -213,17 +191,6 @@ def _eval_hurwitz(chi: DirichletCharacter, s: complex, deriv: bool) -> ComplexVa
 
 # ----------------------------------------------------------------------
 # functional-equation factor
-
-def _epsilon(chi: DirichletCharacter) -> ComplexValue:
-    key = (chi.q, chi.label)
-    eps = _EPSILON_CACHE.get(key)
-    if eps is None:
-        tau = gauss_sum(chi)
-        eps_val = tau.value / (1j ** chi.kappa * math.sqrt(chi.q))
-        eps = ComplexValue(eps_val, tau.err / math.sqrt(chi.q))
-        _EPSILON_CACHE[key] = eps
-    return eps
-
 
 def _cot(w: complex) -> complex:
     if w.imag < 0:
@@ -243,7 +210,7 @@ def _F_pieces(chi: DirichletCharacter, s: complex):
     F = eps 2^s pi^s q^(1/2-s) / (2 Gamma(s) trig(pi s/2)) with trig = cos
     for even chi and sin for odd chi, whose poles are explicit.
     """
-    eps = _epsilon(chi)
+    eps = chi.data.epsilon
     q, kappa = chi.q, chi.kappa
     leps = 1j * cmath.phase(eps.value)
     lq = math.log(q)
@@ -288,7 +255,7 @@ def eval_F(chi: DirichletCharacter, s: complex) -> FunctionalEquationFactor:
         if (int(s.real) + chi.kappa) % 2 == 1:
             raise PoleError(f"F(s,chi) pole at s = {int(s.real)} (Gamma pole, no sin cancellation)")
     F, Fp, logderiv = _F_pieces(chi, s)
-    return FunctionalEquationFactor(s=s, F=F, F_logderiv=logderiv, epsilon=_epsilon(chi))
+    return FunctionalEquationFactor(s=s, F=F, F_logderiv=logderiv, epsilon=chi.data.epsilon)
 
 
 # ----------------------------------------------------------------------
@@ -301,15 +268,12 @@ def _eval_upper(chi: DirichletCharacter, s: complex, deriv: bool) -> ComplexValu
     series truncation would exceed ~50k terms (sigma near 2 with |s| large).
     """
     if s.real >= 2.0 and _series_cutoff(chi, s, deriv, 3e-10) <= 50_000:
-        try:
-            return _eval_series(chi, s, deriv)
-        except PrecisionLossError:
-            return _eval_hurwitz(chi, s, deriv)
+        return _eval_series(chi, s, deriv)
     return _eval_hurwitz(chi, s, deriv)
 
 
 def _eval_fe(chi: DirichletCharacter, s: complex, deriv: bool) -> ComplexValue:
-    chib = _conj_char(chi)
+    chib = chi.data.conj
     F, Fp, _ = _F_pieces(chi, s)
     L2 = _eval_upper(chib, 1.0 - s, False)
     if not deriv:
@@ -392,7 +356,7 @@ def eval_logderiv_via_fteq(chi: DirichletCharacter, s: complex) -> ComplexValue:
     w = cmath.pi * (s + chi.kappa) / 2.0
     if s.imag == 0.0 and abs(cmath.sin(w)) < 1e-13:
         raise PoleError(f"cot pole (trivial zero of L) at s = {s}")
-    chib = _conj_char(chi)
+    chib = chi.data.conj
     Lb = _eval_upper(chib, 1.0 - s, False)
     Lbp = _eval_upper(chib, 1.0 - s, True)
     ld = Lbp.value / Lb.value
@@ -471,17 +435,17 @@ def _grid_eval(chi: DirichletCharacter, S: np.ndarray, deriv: bool):
     S = np.asarray(S, dtype=complex).ravel()
     if S.real.min() <= 0.0:
         raise DomainError("grid evaluators serve only Re s > 0")
-    a, w = _coprime_residues(chi)
+    d = chi.data
     lq = math.log(chi.q)
     out = np.empty(S.shape, dtype=complex)
     for start in range(0, len(S), _GRID_CHUNK):
         sl = slice(start, min(len(S), start + _GRID_CHUNK))
         s = S[sl]
-        vals, dvals, _ = hurwitz_grid(s, a, want_ds=deriv)
+        vals, dvals, _ = hurwitz_grid(s, d.residues, want_ds=deriv)
         qps = np.exp(-s * lq)
-        zsum = vals @ w
+        zsum = vals @ d.weights
         if deriv:
-            out[sl] = qps * ((dvals @ w) - lq * zsum)
+            out[sl] = qps * ((dvals @ d.weights) - lq * zsum)
         else:
             out[sl] = qps * zsum
     return out

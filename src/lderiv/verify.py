@@ -447,26 +447,18 @@ def run_all(
     chi: DirichletCharacter,
     T: float = 10.0,
     with_constants: bool = True,
-    jobs: int = 1,
 ) -> list[VerificationReport]:
     """Every applicable check for one character; reports sorted by name."""
-    tasks = [
-        lambda: check_region_negativity(chi, "line:1"),
-        lambda: check_region_negativity(chi, "critical"),
-        lambda: check_region_negativity(chi, "D1", GridSpec(dsigma=0.5, dt=0.5)),
-        lambda: check_region_negativity(chi, "D2"),
-        lambda: check_near_origin_strip(chi),
-        lambda: check_count_asymptotic(chi, T),
-        lambda: check_distance_sum_asymptotic(chi, T),
-        lambda: check_speiser(chi, T),
+    reports = [
+        check_region_negativity(chi, "line:1"),
+        check_region_negativity(chi, "critical"),
+        check_region_negativity(chi, "D1", GridSpec(dsigma=0.5, dt=0.5)),
+        check_region_negativity(chi, "D2"),
+        check_near_origin_strip(chi),
+        check_count_asymptotic(chi, T),
+        check_distance_sum_asymptotic(chi, T),
+        check_speiser(chi, T),
     ]
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(lambda f: f(), tasks))
-    else:
-        reports = [f() for f in tasks]
     if with_constants:
         reports.extend(check_reference_constants())
     return sorted(reports, key=lambda r: (r.name, str(sorted(r.params.items()))))

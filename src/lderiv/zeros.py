@@ -36,7 +36,6 @@ from .lfunc import (
     eval_Lprime,
     eval_Lprime_grid,
     gest_bound,
-    _epsilon,
 )
 from .numtypes import ComplexValue
 from .special import log_gamma
@@ -389,7 +388,7 @@ def locate_trivial_zero(chi: DirichletCharacter, j: int) -> ZeroRecord:
         except (BoundaryZeroError, NumericalError):
             pass
         if count == 1:
-            z, _ = _newton(lambda s: eval_Lprime(chi, s).value, complex(c))
+            z, _ = _newton(f, complex(c))
             note = ""
             if abs(z - c) >= r:
                 raise UniquenessViolationError(
@@ -400,7 +399,7 @@ def locate_trivial_zero(chi: DirichletCharacter, j: int) -> ZeroRecord:
             note = "wide"
 
     # polish and certify a containment disk
-    z, last = _newton(lambda s: eval_Lprime(chi, s).value, z, tol=1e-12)
+    z, last = _newton(f, z, tol=1e-12)
     r_cert = _certify_disk(f, z, max(1e-8, 4.0 * last), 1)
     if not (c - 1.0 < z.real < c + 1.0):
         raise UniquenessViolationError(f"located zero {z} escaped its certified strip")
@@ -531,7 +530,7 @@ def critical_line_zeros(chi: DirichletCharacter, T: float, spacing: float = 0.02
       Z(t) = Re[ e^(-i arg(eps)/2) (q/pi)^((s+kappa)/2) Gamma((s+kappa)/2) L(s) ],
     whose sign changes are exactly the on-line zeros (odd order).
     """
-    omega = cmath.phase(_epsilon(chi).value) / 2.0
+    omega = cmath.phase(chi.data.epsilon.value) / 2.0
 
     def zfun(t: float) -> float:
         s = 0.5 + 1j * t
@@ -719,12 +718,9 @@ def _split_cell(f, sl, sr, tl, th, n, mesh: float = 1.0):
 
 def _polish_cell(chi, which: Which, sl, sr, tl, th) -> Optional[ZeroRecord]:
     f = _evaluator(chi, which)
-    fr = (lambda s: eval_L(chi, s).value) if which == "L" else (
-        lambda s: eval_Lprime(chi, s).value
-    )
     z0 = complex(0.5 * (sl + sr), 0.5 * (tl + th))
     try:
-        z, last = _newton(fr, z0, tol=1e-12)
+        z, last = _newton(f, z0, tol=1e-12)
     except NumericalError:
         return None
     if not (sl - 1e-9 <= z.real <= sr + 1e-9 and tl - 1e-9 <= z.imag <= th + 1e-9):
@@ -784,9 +780,7 @@ def grid_zero_scan(
     if sigma_max is None:
         sigma_max = zero_free_sigma(chi.m) if which == "Lprime" else 1.0
     grid_eval = eval_Lprime_grid if which == "Lprime" else eval_L_grid
-    fr = (lambda s: eval_Lprime(chi, s).value) if which == "Lprime" else (
-        lambda s: eval_L(chi, s).value
-    )
+    f = _evaluator(chi, which)
     sig = np.arange(spacing, sigma_max + spacing / 2, spacing)
     ts = np.arange(-T - 2 * spacing, T + 2.5 * spacing, spacing)
     candidates: list[complex] = []
@@ -813,7 +807,7 @@ def grid_zero_scan(
     zeros: list[complex] = []
     for z0 in candidates:
         try:
-            z, _ = _newton(fr, z0, tol=1e-10)
+            z, _ = _newton(f, z0, tol=1e-10)
         except NumericalError:
             continue
         if not (0.0 < z.real and abs(z.imag) <= T):

@@ -5,10 +5,12 @@ import math
 from itertools import product
 
 import mpmath
+import numpy as np
 import pytest
 
 from lderiv import characters as ch
 from lderiv.errors import DomainError
+from lderiv.numtypes import ComplexValue
 
 
 def _units(q):
@@ -217,3 +219,87 @@ def test_conjugate_character(chi7_complex):
         assert abs(conj(a) - chi7_complex(a).conjugate()) < 1e-15
     quad = ch.kronecker_character(5)
     assert quad.conjugate() is quad
+
+
+# ----------------------------------------------------------------------
+# the per-character record against the helpers it replaced: their
+# arithmetic, copied verbatim without their memo dicts
+
+def _ref_values_array(chi):
+    return np.array([chi(a) for a in range(chi.q)], dtype=complex)
+
+
+def _ref_max_partial_sum(chi):
+    s, best = 0j, 0.0
+    for a in range(chi.q):
+        s += chi(a)
+        best = max(best, abs(s))
+    return best
+
+
+def _ref_coprime_residues(chi):
+    idx = np.array([a for a in range(1, chi.q + 1) if chi.exponents[a % chi.q] is not None])
+    weights = _ref_values_array(chi)[idx % chi.q]
+    return (idx.astype(float) / chi.q, weights)
+
+
+def _ref_epsilon(chi):
+    tau = ch.gauss_sum(chi)
+    eps_val = tau.value / (1j ** chi.kappa * math.sqrt(chi.q))
+    return ComplexValue(eps_val, tau.err / math.sqrt(chi.q))
+
+
+def _ref_conj_char(chi):
+    return chi.conjugate()
+
+
+def _record_characters():
+    chars = [chi for q in range(3, 51) for chi in ch.enumerate_primitive(q)]
+    chars += [ch.kronecker_character(229), ch.kronecker_character(-23)]
+    chars.append(next(c for c in ch.enumerate_primitive(229) if c.order > 2))
+    return chars
+
+
+def _same_array(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_character_record_matches_the_old_helpers_bytewise():
+    chars = _record_characters()
+    assert len(chars) > 300
+    for chi in chars:
+        rec = chi.data
+        residues, weights = _ref_coprime_residues(chi)
+        eps, conj = _ref_epsilon(chi), _ref_conj_char(chi)
+        assert _same_array(rec.values, _ref_values_array(chi)), (chi.q, chi.label)
+        assert _same_array(rec.residues, residues), (chi.q, chi.label)
+        assert _same_array(rec.weights, weights), (chi.q, chi.label)
+        assert repr(rec.max_partial_sum) == repr(_ref_max_partial_sum(chi))
+        assert repr(rec.epsilon.value) == repr(eps.value)
+        assert repr(rec.epsilon.err) == repr(eps.err)
+        assert (rec.conj.label, rec.conj.exponents) == (conj.label, conj.exponents)
+        assert chi.values_array() is rec.values
+        assert chi.max_partial_sum == rec.max_partial_sum
+
+
+def test_character_record_arrays_are_read_only(chi7_complex):
+    rec = chi7_complex.data
+    for arr in (rec.values, rec.residues, rec.weights):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
+def test_character_record_is_shared_per_label():
+    assert ch.kronecker_character(5).data is ch.from_label(5, 1).data
+
+
+def test_enumeration_builds_no_record(monkeypatch):
+    memo: dict = {}
+    monkeypatch.setattr(ch, "_CHARACTER_DATA", memo)
+    for q in (5, 7, 49, 229):
+        ch.enumerate_primitive.__wrapped__(q)
+    ch.from_label(229, 3)
+    ch.kronecker_character(229)
+    assert memo == {}
+    ch.from_label(5, 1).data
+    assert list(memo) == [(5, 1)]

@@ -120,6 +120,7 @@ def test_verify_label_all(capsys):
 def test_exit_code_usage_error(capsys):
     assert cli.run(["no-such-command"]) == 2
     assert cli.run(["char", "list", "--q", "not-an-int"]) == 2
+    assert cli.run(["verify", "constants", "--jobs", "2"]) == 2  # no such flag
     code, _ = run_cli(capsys, "char", "list", "--q", "2")  # DomainError
     assert code == 2
 
