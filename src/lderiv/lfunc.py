@@ -20,6 +20,14 @@ cross-check the two routes on the overlap band where both are accurate.
 
 Every route can be forced explicitly (route="series" | "hurwitz" | "fe")
 so dual-route comparisons never silently collapse into one code path.
+
+L and L' at the same point come from one pass of a route: one
+Euler-Maclaurin engine call (whose d/ds pass yields L bit for bit), one
+array of Dirichlet-series terms summed to each value's own cutoff, or one
+F(s) with one L(1-s), L'(1-s) pair.  eval_L_point and the log-derivative
+use the pair, and so does L' alone on the functional-equation route.  The
+values are byte-identical to separate evaluations, and the point cache
+holds the same keys: one per value asked for, none for the inner L(1-s).
 """
 
 from __future__ import annotations
@@ -102,9 +110,15 @@ class FunctionalEquationFactor:
 _POINT_CACHE: dict = {}
 _CACHE_CAP = 600_000
 
+_PAIR = (False, True)  # the derivs of a one-pass (L, L') request
+
 
 def clear_cache() -> None:
     _POINT_CACHE.clear()
+
+
+def _cache_key(chi: DirichletCharacter, s: complex, deriv: bool) -> tuple:
+    return (chi.q, chi.label, s, deriv)
 
 
 def _cache_put(key, val):
@@ -145,48 +159,65 @@ def _series_tail_bound(chi: DirichletCharacter, s: complex, with_log: bool, N: i
     return H * abs(s) / sigma * N ** -sigma
 
 
-def _eval_series(chi: DirichletCharacter, s: complex, deriv: bool) -> ComplexValue:
-    """sum chi(n) n^-s  (or -sum chi(n) log n n^-s), certified Abel tail."""
+def _eval_series(chi: DirichletCharacter, s: complex, derivs: tuple) -> tuple:
+    """sum chi(n) n^-s  (or -sum chi(n) log n n^-s), certified Abel tail.
+
+    One value per entry of derivs (False for L, True for L'), each summed over
+    its own cutoff from one array of terms chi(n) n^-s.
+    """
     if s.real < 1.5:
         raise DomainError("direct series route needs Re s >= 1.5")
     tol = 3e-10
-    N = _series_cutoff(chi, s, deriv, tol)
-    if N > _SERIES_TERM_CAP:
+    Ns = [_series_cutoff(chi, s, deriv, tol) for deriv in derivs]
+    N_max = max(Ns)
+    if N_max > _SERIES_TERM_CAP:
         raise PrecisionLossError("direct series would need too many terms", math.nan)
     vals = chi.data.values
-    total = 0j
-    absacc = 0.0
-    for start in range(1, N + 1, 400_000):
-        stop = min(N + 1, start + 400_000)
+    totals = [0j] * len(derivs)
+    absaccs = [0.0] * len(derivs)
+    for start in range(1, N_max + 1, 400_000):
+        stop = min(N_max + 1, start + 400_000)
         n = np.arange(start, stop, dtype=float)
         logn = np.log(n)
-        terms = vals[np.arange(start, stop) % chi.q] * np.exp(-s * logn)
-        if deriv:
-            terms = terms * (-logn)
-        total += complex(terms.sum())
-        absacc += float(np.abs(terms).sum())
-    err = _series_tail_bound(chi, s, deriv, N) + 8e-16 * absacc
-    return ComplexValue(total, err)
+        base = vals[np.arange(start, stop) % chi.q] * np.exp(-s * logn)
+        for i, (deriv, N) in enumerate(zip(derivs, Ns)):
+            m = min(N + 1, stop) - start  # this sum's terms in the chunk
+            if m <= 0:
+                continue
+            terms = base[:m] * (-logn[:m]) if deriv else base[:m]
+            totals[i] += complex(terms.sum())
+            absaccs[i] += float(np.abs(terms).sum())
+    return tuple(
+        ComplexValue(total, _series_tail_bound(chi, s, deriv, N) + 8e-16 * absacc)
+        for deriv, N, total, absacc in zip(derivs, Ns, totals, absaccs)
+    )
 
 
 # ----------------------------------------------------------------------
 # Hurwitz route (0 <= Re s < 2, also used on 1 < Re(1-s) < 2 by the FE route)
 
-def _eval_hurwitz(chi: DirichletCharacter, s: complex, deriv: bool) -> ComplexValue:
-    """q^(-s) sum_a chi(a) zeta(s, a/q), differentiated termwise if deriv."""
+def _eval_hurwitz(chi: DirichletCharacter, s: complex, derivs: tuple) -> tuple:
+    """q^(-s) sum_a chi(a) zeta(s, a/q), differentiated termwise for True.
+
+    One value per entry of derivs, all from one engine pass: the pass that
+    yields d/ds yields the undifferentiated values and bars bit for bit.
+    """
     d = chi.data
-    vals, dvals, errs, errs_ds, _rem = _hurwitz_core(s, d.residues, deriv, 1e-13)
+    vals, dvals, errs, errs_ds, _rem = _hurwitz_core(s, d.residues, True in derivs, 1e-13)
     qps = cmath.exp(-s * math.log(chi.q))
     zsum = complex(np.dot(d.weights, vals))
-    if deriv:
-        out = qps * (complex(np.dot(d.weights, dvals)) - math.log(chi.q) * zsum)
-        err = abs(qps) * (
-            float(np.sum(errs_ds)) + math.log(chi.q) * float(np.sum(errs))
-        )
-    else:
-        out = qps * zsum
-        err = abs(qps) * float(np.sum(errs))
-    return ComplexValue(out, err + 1e-15 * abs(out))
+    out = []
+    for deriv in derivs:
+        if deriv:
+            val = qps * (complex(np.dot(d.weights, dvals)) - math.log(chi.q) * zsum)
+            err = abs(qps) * (
+                float(np.sum(errs_ds)) + math.log(chi.q) * float(np.sum(errs))
+            )
+        else:
+            val = qps * zsum
+            err = abs(qps) * float(np.sum(errs))
+        out.append(ComplexValue(val, err + 1e-15 * abs(val)))
+    return tuple(out)
 
 
 # ----------------------------------------------------------------------
@@ -261,63 +292,85 @@ def eval_F(chi: DirichletCharacter, s: complex) -> FunctionalEquationFactor:
 # ----------------------------------------------------------------------
 # the evaluators
 
-def _eval_upper(chi: DirichletCharacter, s: complex, deriv: bool) -> ComplexValue:
+def _eval_upper(chi: DirichletCharacter, s: complex, derivs: tuple) -> tuple:
     """Route for Re s >= 1: series when affordable, else Hurwitz.
 
     The Euler-Maclaurin route is both cheaper and tighter once the certified
     series truncation would exceed ~50k terms (sigma near 2 with |s| large).
+    The choice is made per entry of derivs (L' needs more terms than L);
+    entries that share a route share one pass.
     """
-    if s.real >= 2.0 and _series_cutoff(chi, s, deriv, 3e-10) <= 50_000:
-        return _eval_series(chi, s, deriv)
-    return _eval_hurwitz(chi, s, deriv)
+    by_series = [
+        s.real >= 2.0 and _series_cutoff(chi, s, deriv, 3e-10) <= 50_000 for deriv in derivs
+    ]
+    if all(by_series):
+        return _eval_series(chi, s, derivs)
+    if not any(by_series):
+        return _eval_hurwitz(chi, s, derivs)
+    # a pair split between the routes (L' needs more series terms than L)
+    return tuple(_eval_upper(chi, s, (deriv,))[0] for deriv in derivs)
 
 
-def _eval_fe(chi: DirichletCharacter, s: complex, deriv: bool) -> ComplexValue:
+def _eval_fe(chi: DirichletCharacter, s: complex, derivs: tuple) -> tuple:
+    """F(s) L(1-s, conj chi) and its derivative F' L(1-s) - F L'(1-s); one
+    F and one pass at 1-s serve every entry of derivs."""
     chib = chi.data.conj
     F, Fp, _ = _F_pieces(chi, s)
-    L2 = _eval_upper(chib, 1.0 - s, False)
-    if not deriv:
-        val = F.value * L2.value
-        err = abs(F.value) * L2.err + abs(L2.value) * F.err
-        return ComplexValue(val, err + 1e-15 * abs(val))
-    L2p = _eval_upper(chib, 1.0 - s, True)
-    val = Fp.value * L2.value - F.value * L2p.value
-    err = (
-        abs(Fp.value) * L2.err
-        + abs(L2.value) * Fp.err
-        + abs(F.value) * L2p.err
-        + abs(L2p.value) * F.err
-    )
-    return ComplexValue(val, err + 1e-15 * abs(val))
+    inner = _eval_upper(chib, 1.0 - s, _PAIR if True in derivs else (False,))
+    L2 = inner[0]
+    out = []
+    for deriv in derivs:
+        if not deriv:
+            val = F.value * L2.value
+            err = abs(F.value) * L2.err + abs(L2.value) * F.err
+        else:
+            L2p = inner[1]
+            val = Fp.value * L2.value - F.value * L2p.value
+            err = (
+                abs(Fp.value) * L2.err
+                + abs(L2.value) * Fp.err
+                + abs(F.value) * L2p.err
+                + abs(L2p.value) * F.err
+            )
+        out.append(ComplexValue(val, err + 1e-15 * abs(val)))
+    return tuple(out)
 
 
-def _eval(chi: DirichletCharacter, s: complex, deriv: bool, route: str) -> ComplexValue:
+def _eval(chi: DirichletCharacter, s: complex, deriv, route: str):
+    """L (deriv False) or L' (deriv True) as a ComplexValue, or with deriv
+    _PAIR the tuple (L, L') from one pass of the route.  On the auto route
+    each value is cached under its own (q, label, s, deriv) key; a pair is
+    not looked up (eval_L_point asks for one only when neither is cached)."""
     s = complex(s)
     _check_window(chi, s)
-    key = (chi.q, chi.label, s, deriv) if route == "auto" else None
-    if key is not None and key in _POINT_CACHE:
-        return _POINT_CACHE[key]
+    pair = deriv == _PAIR
+    if route == "auto" and not pair:
+        key = _cache_key(chi, s, deriv)
+        if key in _POINT_CACHE:
+            return _POINT_CACHE[key]
+    derivs = deriv if pair else (deriv,)
     if route == "auto":
         if s.real < 0.0:
-            out = _eval_fe(chi, s, deriv)
+            out = _eval_fe(chi, s, derivs)
         elif s.real >= 2.0:
-            out = _eval_upper(chi, s, deriv)
+            out = _eval_upper(chi, s, derivs)
         else:
-            out = _eval_hurwitz(chi, s, deriv)
+            out = _eval_hurwitz(chi, s, derivs)
     elif route == "series":
-        out = _eval_series(chi, s, deriv)
+        out = _eval_series(chi, s, derivs)
     elif route == "hurwitz":
-        out = _eval_hurwitz(chi, s, deriv)
+        out = _eval_hurwitz(chi, s, derivs)
     elif route == "fe":
-        out = _eval_fe(chi, s, deriv)
+        out = _eval_fe(chi, s, derivs)
     else:
         raise DomainError(f"unknown route {route!r}")
     # Near deep zeros the value can sit far below its own error bar (the
     # functional-equation terms cancel); consumers decide via .err, so no
     # hard raise here -- the winding walker and Newton are both err-aware.
-    if key is not None:
-        _cache_put(key, out)
-    return out
+    if route == "auto":
+        for d, val in zip(derivs, out):
+            _cache_put(_cache_key(chi, s, d), val)
+    return out if pair else out[0]
 
 
 def eval_L(chi: DirichletCharacter, s: complex, route: str = "auto") -> ComplexValue:
@@ -331,9 +384,17 @@ def eval_Lprime(chi: DirichletCharacter, s: complex, route: str = "auto") -> Com
 
 
 def eval_L_point(chi: DirichletCharacter, s: complex) -> LPoint:
-    """L, L' and (when |L| clears the noise floor) L'/L at one point."""
-    L = eval_L(chi, s)
-    Lp = eval_Lprime(chi, s)
+    """L, L' and (when |L| clears the noise floor) L'/L at one point.
+
+    A cold point gets L and L' from one pass; if either is cached already,
+    each is looked up (or evaluated) on its own.
+    """
+    z = complex(s)
+    if _cache_key(chi, z, False) in _POINT_CACHE or _cache_key(chi, z, True) in _POINT_CACHE:
+        L = eval_L(chi, s)
+        Lp = eval_Lprime(chi, s)
+    else:
+        L, Lp = _eval(chi, s, _PAIR, "auto")
     if abs(L.value) <= NOISE_FLOOR * (1.0 + abs(Lp.value)):
         logderiv = None
     else:
@@ -356,9 +417,7 @@ def eval_logderiv_via_fteq(chi: DirichletCharacter, s: complex) -> ComplexValue:
     w = cmath.pi * (s + chi.kappa) / 2.0
     if s.imag == 0.0 and abs(cmath.sin(w)) < 1e-13:
         raise PoleError(f"cot pole (trivial zero of L) at s = {s}")
-    chib = chi.data.conj
-    Lb = _eval_upper(chib, 1.0 - s, False)
-    Lbp = _eval_upper(chib, 1.0 - s, True)
+    Lb, Lbp = _eval_upper(chi.data.conj, 1.0 - s, _PAIR)
     ld = Lbp.value / Lb.value
     ld_err = (Lbp.err + abs(ld) * Lb.err) / abs(Lb.value)
     val = -ld - math.log(chi.q / (2.0 * math.pi)) - _digamma(1.0 - s) + (cmath.pi / 2.0) * _cot(w)

@@ -167,39 +167,39 @@ def digamma_lower_bound_check(z: complex) -> VerificationReport:
 # ----------------------------------------------------------------------
 # Hurwitz zeta by Euler-Maclaurin
 
-def _em_log_parts(s: complex, Ks) -> list:
-    """Per K in Ks, the parts of log R_K (see _em_remainder) that do not
-    depend on N, from one prefix sum of log|s + i|.
+def _em_log_parts(s: complex, Ks):
+    """Per K in Ks (ascending), the parts of log R_K (see _em_remainder)
+    that do not depend on N, from one prefix sum of log|s + i|.
 
     An entry is (lead, power, tail) with lead = log|B_{2K+2}/(2K+2)!| +
     log|(s)_{2K+1}|, power = -sigma - 2K - 1 and tail the log of the
     max(1, ...) factor; or the bound itself, inf when sigma + 2K + 1 <= 0
-    and 0 when (s)_{2K+1} vanishes.  The prefix sum adds the logs in index
-    order, so every prefix is the one the single-K loop would give.
+    and 0 when (s)_{2K+1} vanishes.  The entries are yielded one K at a
+    time and the prefix sum is extended, in index order, only as far as
+    the K asked for, so every prefix is the one the single-K loop would give.
     """
     sigma = s.real
-    n = 2 * max(Ks) + 1
-    log_poch = [0.0]
-    zero_at = n  # first i with s + i = 0
-    for i in range(n):
-        f = abs(s + i)
-        if f == 0.0:
-            zero_at = i
-            break
-        log_poch.append(log_poch[-1] + math.log(f))
-    parts = []
+    log_poch = [0.0]  # log_poch[i] = sum of log|s + j| for j < i
+    zero_at = math.inf  # first i with s + i = 0
+    i = 0
     for K in Ks:
+        while i <= 2 * K and zero_at == math.inf:
+            f = abs(s + i)
+            if f == 0.0:
+                zero_at = i
+            else:
+                log_poch.append(log_poch[-1] + math.log(f))
+                i += 1
         if sigma + 2 * K + 1 <= 0:
-            parts.append(math.inf)
+            yield math.inf
         elif zero_at <= 2 * K:
-            parts.append(0.0)
+            yield 0.0
         else:
-            parts.append((
+            yield (
                 math.log(abs(_em_coef(K + 1))) + log_poch[2 * K + 1],
                 -sigma - 2 * K - 1,
                 math.log(max(1.0, abs(s + 2 * K + 1) / (sigma + 2 * K + 1))),
-            ))
-    return parts
+            )
 
 
 def _em_bound(part, log_x: float) -> float:
@@ -217,7 +217,7 @@ def _em_remainder(s: complex, n_terms: int, K: int, x_min: float) -> float:
     |R_K| <= |B_{2K+2}|/(2K+2)! * |(s)_{2K+1}| * x^(-sigma-2K-1)
              * max(1, |s+2K+1|/(sigma+2K+1)),  valid for sigma+2K+1 > 0.
     """
-    return _em_bound(_em_log_parts(s, (K,))[0], math.log(x_min))
+    return _em_bound(next(_em_log_parts(s, (K,))), math.log(x_min))
 
 
 def _choose_em_params(s: complex, a_min: float, tol: float) -> tuple[int, int, float]:
@@ -237,7 +237,6 @@ def _choose_em_params(s: complex, a_min: float, tol: float) -> tuple[int, int, f
     Ks = [K for K in (k_min, k_min + 6, k_min + 14, k_min + 24) if K <= 59]
     if not Ks:
         raise PrecisionLossError(f"no Euler-Maclaurin K <= 59 serves s = {s}", math.inf)
-    parts = _em_log_parts(s, Ks)
     # per N: log x_min and the rounding peak max(1, x_min^-sigma)
     per_n = []
     for N in n_cands:
@@ -246,7 +245,14 @@ def _choose_em_params(s: complex, a_min: float, tol: float) -> tuple[int, int, f
         per_n.append((N, math.log(x_min), max(1.0, peak)))
     best_feasible = None
     best_any = None
-    for K, part in zip(Ks, parts):
+    parts = _em_log_parts(s, Ks)
+    for K in Ks:
+        # rnd never decreases in N or K: once the smallest N's rounding at
+        # this K cannot beat the best feasible pair strictly, no later can
+        if best_feasible is not None and \
+                8 * _EPS * (n_cands[0] + K + 4) * per_n[0][2] >= best_feasible[2]:
+            break
+        part = next(parts)
         for N, log_x, peak in per_n:
             rem = _em_bound(part, log_x)
             # rounding ~ eps * (number of terms) * (largest term magnitude)

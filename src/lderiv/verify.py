@@ -37,7 +37,6 @@ from .zeros import (
     Indentation,
     count_N1_detailed,
     count_strip_detailed,
-    critical_line_zeros,
     grid_zero_scan,
     list_zeros,
     rectangle,
@@ -337,14 +336,9 @@ def check_speiser(chi: DirichletCharacter, T: float) -> VerificationReport:
             passed=None, status="conditions (a)/(b) unmet; counts reported only",
             runtime=time.perf_counter() - t0,
         )
-    t_use = T + info["t_shift"]
-    gammas = critical_line_zeros(chi, t_use + 0.02)
-    radius = 1e-3
-    inds = [Indentation(complex(0.5, g), radius, "left") for g in gammas if abs(g) < t_use - radius]
-    if kappa == 0:
-        inds.append(Indentation(0j, radius, "left"))
-    contour = Contour(0.0, 0.5, -t_use, t_use, tuple(inds))
-    winding = winding_count(_logderiv_ratio(chi), contour)
+    # the strip count's contour: its indentations exclude the zeros of L on
+    # the line and enclose s = 0 for even chi, the poles of L'/L there
+    winding = winding_count(_logderiv_ratio(chi), info["contour"])
     desk = (n_minus, n1_minus) == ((0, 1) if kappa == 0 else (0, 0))
     params["winding"] = winding
     return VerificationReport(

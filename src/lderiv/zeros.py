@@ -572,7 +572,8 @@ def count_strip_detailed(
 
     For L, boundary zeros (the on-line zeros and, for even chi, s = 0) get
     left-semicircle indentations: on-line zeros are excluded, s = 0 is
-    enclosed and subtracted from the winding.
+    enclosed and subtracted from the winding.  The indented contour is
+    returned as info["contour"].
     """
     if not 2.0 <= T <= 50.0:
         raise DomainError("count_strip supports 2 <= T <= 50")
@@ -607,6 +608,7 @@ def count_strip_detailed(
                 f"L vanishes on the strip contour at {exc.location}"
             ) from exc
         info["critical_zeros"] = len(gammas)
+        info["contour"] = contour
         return n - included, info
 
     certified = (

@@ -1,13 +1,18 @@
 """L, L', functional equation, and the normalized derivative G."""
 
+import cmath
 import math
+import struct
 
 import mpmath
+import numpy as np
 import pytest
 
 from lderiv import characters as ch
 from lderiv import lfunc as lf
 from lderiv.errors import DomainError, NearZeroError, PoleError, PrecisionLossError
+from lderiv.numtypes import ComplexValue
+from lderiv.special import _digamma
 from tests.conftest import lattice_points
 
 mpmath.mp.dps = 30
@@ -298,3 +303,207 @@ def test_window_enforcement(chi5):
         lf.eval_L(chi5, 90.0)
     with pytest.raises(PrecisionLossError):
         lf.eval_L(chi5, 1 + 150j)
+
+
+
+# ----------------------------------------------------------------------
+# one pass for L and L': the single-value routes it replaced, kept verbatim
+# (bar the module prefix) so that every route's pair is held to their bytes
+
+def _ref_eval_series(chi, s, deriv):
+    """sum chi(n) n^-s  (or -sum chi(n) log n n^-s), certified Abel tail."""
+    if s.real < 1.5:
+        raise DomainError("direct series route needs Re s >= 1.5")
+    tol = 3e-10
+    N = lf._series_cutoff(chi, s, deriv, tol)
+    if N > lf._SERIES_TERM_CAP:
+        raise PrecisionLossError("direct series would need too many terms", math.nan)
+    vals = chi.data.values
+    total = 0j
+    absacc = 0.0
+    for start in range(1, N + 1, 400_000):
+        stop = min(N + 1, start + 400_000)
+        n = np.arange(start, stop, dtype=float)
+        logn = np.log(n)
+        terms = vals[np.arange(start, stop) % chi.q] * np.exp(-s * logn)
+        if deriv:
+            terms = terms * (-logn)
+        total += complex(terms.sum())
+        absacc += float(np.abs(terms).sum())
+    err = lf._series_tail_bound(chi, s, deriv, N) + 8e-16 * absacc
+    return ComplexValue(total, err)
+
+
+def _ref_eval_hurwitz(chi, s, deriv):
+    """q^(-s) sum_a chi(a) zeta(s, a/q), differentiated termwise if deriv."""
+    d = chi.data
+    vals, dvals, errs, errs_ds, _rem = lf._hurwitz_core(s, d.residues, deriv, 1e-13)
+    qps = cmath.exp(-s * math.log(chi.q))
+    zsum = complex(np.dot(d.weights, vals))
+    if deriv:
+        out = qps * (complex(np.dot(d.weights, dvals)) - math.log(chi.q) * zsum)
+        err = abs(qps) * (
+            float(np.sum(errs_ds)) + math.log(chi.q) * float(np.sum(errs))
+        )
+    else:
+        out = qps * zsum
+        err = abs(qps) * float(np.sum(errs))
+    return ComplexValue(out, err + 1e-15 * abs(out))
+
+
+def _ref_eval_upper(chi, s, deriv):
+    if s.real >= 2.0 and lf._series_cutoff(chi, s, deriv, 3e-10) <= 50_000:
+        return _ref_eval_series(chi, s, deriv)
+    return _ref_eval_hurwitz(chi, s, deriv)
+
+
+def _ref_eval_fe(chi, s, deriv):
+    chib = chi.data.conj
+    F, Fp, _ = lf._F_pieces(chi, s)
+    L2 = _ref_eval_upper(chib, 1.0 - s, False)
+    if not deriv:
+        val = F.value * L2.value
+        err = abs(F.value) * L2.err + abs(L2.value) * F.err
+        return ComplexValue(val, err + 1e-15 * abs(val))
+    L2p = _ref_eval_upper(chib, 1.0 - s, True)
+    val = Fp.value * L2.value - F.value * L2p.value
+    err = (
+        abs(Fp.value) * L2.err
+        + abs(L2.value) * Fp.err
+        + abs(F.value) * L2p.err
+        + abs(L2p.value) * F.err
+    )
+    return ComplexValue(val, err + 1e-15 * abs(val))
+
+
+def _ref_auto(chi, s, deriv):
+    if s.real < 0.0:
+        return _ref_eval_fe(chi, s, deriv)
+    if s.real >= 2.0:
+        return _ref_eval_upper(chi, s, deriv)
+    return _ref_eval_hurwitz(chi, s, deriv)
+
+
+def _ref_logderiv_via_fteq(chi, s):
+    w = cmath.pi * (s + chi.kappa) / 2.0
+    chib = chi.data.conj
+    Lb = _ref_eval_upper(chib, 1.0 - s, False)
+    Lbp = _ref_eval_upper(chib, 1.0 - s, True)
+    ld = Lbp.value / Lb.value
+    ld_err = (Lbp.err + abs(ld) * Lb.err) / abs(Lb.value)
+    val = -ld - math.log(chi.q / (2.0 * math.pi)) - _digamma(1.0 - s) + (cmath.pi / 2.0) * lf._cot(w)
+    return ComplexValue(val, ld_err + 1e-12 * (1.0 + abs(val)))
+
+
+def _bits(v):
+    return struct.pack("<3d", v.value.real, v.value.imag, v.err)
+
+
+def _outcome(fn):
+    """The bytes of fn's value, or the name of the error it raises (a forced
+    series route refuses cutoffs past its term cap)."""
+    try:
+        return _bits(fn())
+    except PrecisionLossError as exc:
+        return type(exc).__name__
+
+
+@pytest.fixture(scope="module")
+def pair_chars(chi5, chi7_complex, chi23, chi229):
+    chi49 = next(c for c in ch.enumerate_primitive(49) if c.order == 42)
+    return (chi5, chi7_complex, chi23, chi49, chi229)
+
+
+def _one_cutoff_only(chi, s):
+    """Series points where L's cutoff is <= 50 000 and L''s is not."""
+    return (s.real >= 2.0
+            and lf._series_cutoff(chi, s, False, 3e-10) <= 50_000
+            < lf._series_cutoff(chi, s, True, 3e-10))
+
+
+_PAIR_BANDS = (
+    ((2.0, 12.0), (-100.0, 100.0)),  # series (and Hurwitz where series is dear)
+    ((2.0, 2.4), (-100.0, 100.0)),  # where L' leaves the series before L
+    ((0.0, 2.0), (-100.0, 100.0)),  # Hurwitz
+    ((-80.0, 0.0), (-100.0, 100.0)),  # functional equation
+)
+
+
+def _pair_points(chi):
+    pts = []
+    for x_range, y_range in _PAIR_BANDS:
+        pts += lattice_points(12, x_range, y_range)
+    return pts + [2.0 + 0j, 0.5 + 0j, -0.5 + 3j, -3.25 + 0j, -79.5 - 99j, 2.05 + 90j]
+
+
+def test_eval_L_point_equals_the_single_value_routes(pair_chars):
+    split = 0
+    for chi in pair_chars:
+        for s in _pair_points(chi):
+            lf.clear_cache()
+            pt = lf.eval_L_point(chi, s)
+            assert _bits(pt.L) == _bits(_ref_auto(chi, s, False)), (chi.q, s)
+            assert _bits(pt.Lprime) == _bits(_ref_auto(chi, s, True)), (chi.q, s)
+            split += _one_cutoff_only(chi, s) or (
+                s.real < -1.0 and _one_cutoff_only(chi.data.conj, 1.0 - s))
+    assert split >= 5  # the pairs that go to two routes are covered
+
+
+def test_single_values_equal_the_single_value_routes(pair_chars):
+    # L or L' alone, on the auto route (the functional equation's L' alone
+    # shares one pass at 1 - s) and on each route forced where it applies
+    for chi in pair_chars:
+        for s in _pair_points(chi):
+            routes = [("auto", _ref_auto)]
+            if s.real < 0.5:
+                routes.append(("fe", _ref_eval_fe))
+            if s.real >= 1.5 and lf._series_cutoff(chi, s, True, 3e-10) <= 400_000:
+                routes.append(("series", _ref_eval_series))  # one chunk of terms
+            if s.real >= -10.0:
+                routes.append(("hurwitz", _ref_eval_hurwitz))
+            for deriv in (False, True):
+                lf.clear_cache()
+                for route, ref in routes:
+                    got = _outcome(lambda: lf._eval(chi, s, deriv, route))
+                    assert got == _outcome(lambda: ref(chi, s, deriv)), (chi.q, s, route)
+
+
+def test_series_route_over_several_chunks_and_past_its_cap(chi5):
+    # 400 000 terms to a chunk: sigma = 1.6 needs about a million
+    for s in (1.6 + 0j, 1.5 + 100j):
+        for deriv in (False, True):
+            got = _outcome(lambda: lf.eval_L(chi5, s, route="series") if not deriv
+                           else lf.eval_Lprime(chi5, s, route="series"))
+            assert got == _outcome(lambda: _ref_eval_series(chi5, s, deriv)), (s, deriv)
+
+
+def test_logderiv_via_fteq_equals_the_single_value_routes(pair_chars):
+    for chi in pair_chars:
+        pts = lattice_points(20, (-80.0, -1.0), (-100.0, 100.0)) + [-1.0 + 0.5j, -79.0 + 1j]
+        for s in pts:
+            got = lf.eval_logderiv_via_fteq(chi, s)
+            assert _bits(got) == _bits(_ref_logderiv_via_fteq(chi, s)), (chi.q, s)
+
+
+def test_point_cache_keys_of_the_pair(chi5, chi7_complex):
+    for s in (3.0 + 4j, 0.7 - 12j, -5.5 + 2j):
+        lf.clear_cache()
+        pt = lf.eval_L_point(chi7_complex, s)
+        key = (chi7_complex.q, chi7_complex.label, complex(s))
+        assert set(lf._POINT_CACHE) == {key + (False,), key + (True,)}
+        assert lf._POINT_CACHE[key + (False,)] is pt.L
+        assert lf._POINT_CACHE[key + (True,)] is pt.Lprime
+        again = lf.eval_L_point(chi7_complex, s)
+        assert len(lf._POINT_CACHE) == 2 and again == pt
+    # L' alone on the functional-equation route: one key, the inner L(1-s)
+    # and L'(1-s) stay uncached
+    lf.clear_cache()
+    lf.eval_Lprime(chi5, -7.25 + 30j)
+    assert set(lf._POINT_CACHE) == {(5, chi5.label, -7.25 + 30j, True)}
+    # one key cached already: the other is added on its own, same bytes
+    lf.clear_cache()
+    L = lf.eval_L(chi5, 1.25 + 3j)
+    pt = lf.eval_L_point(chi5, 1.25 + 3j)
+    assert pt.L is L and len(lf._POINT_CACHE) == 2
+    assert _bits(pt.Lprime) == _bits(_ref_eval_hurwitz(chi5, 1.25 + 3j, True))
+    lf.clear_cache()

@@ -230,6 +230,26 @@ def test_em_policy_matches_reference_bit_for_bit():
             assert repr(sp._em_remainder(s, N, K, N + a_min)) == repr(ref)
 
 
+def test_em_policy_stopping_early_keeps_the_reference_choice():
+    # the policy stops at the first K whose smallest rounding estimate cannot
+    # beat the best feasible pair; (N, K, rem) must stay the full search's,
+    # also past the K <= 59 cap (sigma < -115), where both give up
+    pts = lattice_points(3000, (-116.0, 82.0), (-101.0, 101.0))
+    pts += [complex(n) for n in range(-116, 83)] + [complex(n / 7) for n in range(-812, 575, 11)]
+    tols = (1e-9, 1e-11, 1e-13, 1e-15)
+    for idx, s in enumerate(pts):
+        tol = tols[idx % len(tols)]
+        a_min = _A_MINS[(idx // len(tols)) % len(_A_MINS)]
+        ref = _ref_choose_em_params(s, a_min, tol)
+        if ref is None:
+            with pytest.raises(PrecisionLossError):
+                sp._choose_em_params(s, a_min, tol)
+            continue
+        N, K, rem = sp._choose_em_params(s, a_min, tol)
+        assert (N, K) == ref[:2], (s, a_min, tol)
+        assert repr(rem) == repr(_ref_em_remainder(s, N, K, N + a_min)), (s, a_min, tol)
+
+
 def test_em_remainder_matches_reference_at_the_edges():
     # sigma + 2K + 1 <= 0 for small K, and Pochhammer zeros inside 2K + 1
     pts = [complex(-n) for n in range(61)] + [-20.5 + 3j, -40.0 + 0.25j, -7.5 - 1e-9j]

@@ -77,6 +77,27 @@ def test_speiser_unconditional_cases(chi5, chi23):
     assert rep23.measured == rep23.bound  # exact integer winding identity
 
 
+def test_speiser_winds_on_the_strip_counts_contour(chi23, monkeypatch):
+    # an injected on-line ordinate 1.5e-3 from a real one: the strip count
+    # shrinks its indentations to a quarter of the gap, and the Speiser
+    # winding runs on that same contour instead of building one of its own
+    from lderiv import zeros
+
+    real = zeros.critical_line_zeros
+
+    def injected(chi, T, spacing=0.02):
+        gammas = real(chi, T, spacing)
+        return sorted(gammas + [min(g for g in gammas if g > 0) + 1.5e-3])
+
+    monkeypatch.setattr(zeros, "critical_line_zeros", injected)
+    monkeypatch.setattr(vf, "critical_line_zeros", injected, raising=False)
+    rep = vf.check_speiser(chi23, 10.0)
+    assert rep.passed is True and rep.measured == rep.bound == 0
+    n_minus, info = zeros.count_strip_detailed(chi23, 10.0, "L")
+    assert n_minus == 0
+    assert abs(info["contour"].indentations[0].radius - 1.5e-3 / 4) < 1e-12
+
+
 def test_run_all_concurrency_deterministic(chi23):
     first = vf.run_all(chi23, T=5.0, with_constants=False)
     lfunc.clear_cache()
