@@ -40,7 +40,7 @@ from typing import Optional
 import numpy as np
 
 from .characters import DirichletCharacter
-from .errors import DomainError, NumericalError, PoleError, PrecisionLossError
+from .errors import DomainError, NearZeroError, NumericalError, PoleError, PrecisionLossError
 from .numtypes import ComplexValue
 from .special import (
     _digamma,
@@ -454,8 +454,6 @@ def re_logderiv_critical(chi: DirichletCharacter, t: float) -> ComplexValue:
     Raises NearZeroError when 1/2 + it is flagged as a near-zero of L
     (the excluded set of the critical-line identity).
     """
-    from .errors import NearZeroError
-
     s = 0.5 + 1j * t
     pt = eval_L_point(chi, s)
     if pt.near_zero_of_L:

@@ -43,7 +43,6 @@ __all__ = [
     "prime_tail_bound",
     "prime_log_sum",
     "log_abs_cos_mean",
-    "log_abs_cos_mean_quad",
 ]
 
 EULER_GAMMA = float(np.euler_gamma)
@@ -462,18 +461,45 @@ def hurwitz_zeta_cauchy_ds(
 # ----------------------------------------------------------------------
 # logarithmic integral
 
-def log_integral(x: float) -> float:
-    """li(x) = integral from 2 to x of du/log(u), for x >= 2."""
-    from scipy.integrate import quad
+def _li(x: float) -> float:
+    """li(x) = gamma + log log x + sum_{k>=1} (log x)^k / (k k!), for x > 1.
 
-    if x < 2.0:
+    Every series term is positive, so nothing cancels; math.fsum adds the
+    rounded terms exactly.  Past k = 2 log x each term is at most half the
+    one before, so stopping at a term below eps/8 of the partial series
+    leaves a tail below eps/8 of it.
+    """
+    lx = math.log(x)
+    terms = [EULER_GAMMA, math.log(lx)]
+    power = 1.0  # (log x)^k / k!
+    series = 0.0
+    k = 0
+    while True:
+        k += 1
+        power *= lx / k
+        term = power / k
+        terms.append(term)
+        series += term
+        if k >= 2.0 * lx and term <= 0.125 * _EPS * series:
+            return math.fsum(terms)
+
+
+_LI_2 = _li(2.0)
+
+
+def _li_from_2(x: float) -> float:
+    """li(x) - li(2), the integral from 2 to x of du/log u, for x > 1
+    (negative for x < 2)."""
+    if not 1.0 < x < math.inf:
+        raise DomainError("li needs finite x > 1")
+    return _li(x) - _LI_2
+
+
+def log_integral(x: float) -> float:
+    """li(x) = integral from 2 to x of du/log(u), for finite x >= 2."""
+    if not x >= 2.0:
         raise DomainError("log_integral requires x >= 2")
-    if x == 2.0:
-        return 0.0
-    val, est = quad(lambda u: 1.0 / math.log(u), 2.0, x, epsabs=1e-12, epsrel=1e-12, limit=200)
-    if est > 1e-10:
-        raise PrecisionLossError("log_integral quadrature too coarse", est)
-    return val
+    return _li_from_2(x)
 
 
 # ----------------------------------------------------------------------
@@ -519,7 +545,7 @@ def prime_log_sum(sigma: float, exclude_divisors_of: int = 1, N: int = 100000) -
 
 
 # ----------------------------------------------------------------------
-# the log|a + b cos(theta)| mean (Jensen closed form + quadrature)
+# the log|a + b cos(theta)| mean (Jensen closed form)
 
 def log_abs_cos_mean(a: float, b: float) -> float:
     """(1/2pi) * integral of log|a + b cos(theta)|: closed form via Jensen.
@@ -531,23 +557,3 @@ def log_abs_cos_mean(a: float, b: float) -> float:
     if a > b:
         return math.log((a + math.sqrt(a * a - b * b)) / 2.0)
     return math.log(b / 2.0)
-
-
-def log_abs_cos_mean_quad(a: float, b: float) -> float:
-    """Same mean by direct quadrature, splitting at the log singularity."""
-    from scipy.integrate import quad
-
-    if a <= 0.0 or b <= 0.0:
-        raise DomainError("log_abs_cos_mean requires a > 0 and b > 0")
-    points = None
-    if a <= b:
-        points = [math.acos(-a / b)]
-    out = quad(
-        lambda th: math.log(abs(a + b * math.cos(th))),
-        0.0, math.pi, points=points, epsabs=1e-11, epsrel=1e-11, limit=800,
-        full_output=True,
-    )
-    val, est = out[0], out[1]
-    if est > 1e-9:
-        raise PrecisionLossError(f"log-mean quadrature at (a={a}, b={b}) too coarse", est)
-    return val / math.pi

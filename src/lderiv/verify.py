@@ -28,13 +28,14 @@ from .report import VerificationReport
 from .special import (
     EULER_GAMMA,
     _digamma,
-    log_integral,
+    _li_from_2,
     prime_log_sum,
     primes_up_to,
 )
 from .zeros import (
     Contour,
     Indentation,
+    _bisect_real_logderiv,
     count_N1_detailed,
     count_strip_detailed,
     grid_zero_scan,
@@ -125,7 +126,8 @@ def check_region_negativity(
             t_lo = 2.0 if kappa == 0 else 3.0
         params["t_lo"] = t_lo
         ts = np.arange(t_lo, grid.tmax + grid.dt / 2, grid.dt)
-        ts = np.concatenate([-ts[::-1], ts])
+        # mirror into t < 0 without sampling t = 0 twice
+        ts = np.concatenate([-ts[:0:-1] if t_lo == 0.0 else -ts[::-1], ts])
         pts = [0.5 + 1j * t for t in ts]
     elif region == "D1":
         grid = grid or GridSpec(dsigma=0.5, dt=0.5)
@@ -218,8 +220,6 @@ def check_near_origin_strip(chi: DirichletCharacter, T: float = 40.0) -> Verific
         if chi.is_quadratic:
             # Prop: the zero is real and lies in (-1, 0); since the count in
             # the whole box is 1, a real-axis sign change pins it exactly
-            from .zeros import _bisect_real_logderiv
-
             z = _bisect_real_logderiv(chi, -1.0, 0.0)
             extra_ok = -1.0 < z.real < 0.0 and z.imag == 0.0
             params["zero_re"] = round(z.real, 9)
@@ -260,25 +260,12 @@ def check_count_asymptotic(
     )
 
 
-def _li_signed(x: float) -> float:
-    """li(x) = integral from 2 to x of du/log u, extended to x in (1, 2)
-    (negative there); the public log_integral keeps its x >= 2 contract."""
-    if x >= 2.0:
-        return log_integral(x)
-    if x <= 1.0:
-        raise DomainError("li needs x > 1")
-    from scipy.integrate import quad
-
-    val, _ = quad(lambda u: 1.0 / math.log(u), x, 2.0, epsabs=1e-12, limit=200)
-    return -val
-
-
 def _distance_sum_main_term(q: int, m: int, T: float) -> float:
     x = q * T / (2.0 * math.pi)
     return (
         (T / math.pi) * math.log(math.log(x))
         + (T / math.pi) * (0.5 * math.log(m) - math.log(math.log(m)))
-        - (2.0 / q) * _li_signed(x)
+        - (2.0 / q) * _li_from_2(x)
     )
 
 

@@ -1,5 +1,6 @@
 from itertools import count
 
+import mpmath
 import pytest
 
 from lderiv import characters
@@ -48,3 +49,19 @@ def lattice_points(n, x_range, y_range, skip=lambda z: False):
         if k > 100 * n:
             raise RuntimeError("lattice skip predicate too aggressive")
     return out
+
+
+def log_abs_cos_mean_quad(a, b):
+    """(1/pi) * integral over [0, pi] of log|a + b cos(theta)| by mpmath
+    quadrature, split at the log singularity acos(-a/b) when a <= b: an
+    independent reference for the closed form special.log_abs_cos_mean.
+
+    a + b cos(theta) is evaluated as (a - b) + 2b cos^2(theta/2), which
+    keeps its relative accuracy at the double zero theta = pi of a = b.
+    """
+    with mpmath.workdps(20):
+        a, b = mpmath.mpf(a), mpmath.mpf(b)
+        points = [0, mpmath.acos(-a / b), mpmath.pi] if a <= b else [0, mpmath.pi]
+        val = mpmath.quad(
+            lambda th: mpmath.log(abs(a - b + 2 * b * mpmath.cos(th / 2) ** 2)), points)
+        return float(val / mpmath.pi)

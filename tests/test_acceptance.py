@@ -15,9 +15,8 @@ from lderiv.special import (
     digamma,
     digamma_lower_bound_check,
     log_abs_cos_mean,
-    log_abs_cos_mean_quad,
 )
-from tests.conftest import lattice_points
+from tests.conftest import lattice_points, log_abs_cos_mean_quad
 
 
 def _stamp(name, t0, detail=""):

@@ -106,6 +106,27 @@ def test_verify_csv_identical_across_interpreters():
     assert outs[0] and outs[0] == outs[1]
 
 
+def test_runtime_never_loads_scipy():
+    """lderiv needs numpy alone: a fresh interpreter that imports it, runs
+    the distance-sum check and the public li never loads scipy."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
+    code = "\n".join([
+        "import contextlib, io, sys",
+        "import lderiv, lderiv.cli",
+        "from lderiv import special",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    rc = lderiv.cli.run(['verify', 'sum-rule', '--q', '5', '--label', '1', '--T', '5', '--csv'])",
+        "assert rc == 0, rc",
+        "special.log_integral(1e5)",
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+    ])
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         check=True, text=True, timeout=300).stdout
+    assert out.strip() == "[]"
+
+
 def test_verify_label_all(capsys):
     code, out = run_cli(capsys, "verify", "counting", "--q", "5", "--label", "all",
                         "--T", "5")

@@ -9,7 +9,7 @@ import pytest
 
 from lderiv import special as sp
 from lderiv.errors import DomainError, PoleError, PrecisionLossError
-from tests.conftest import lattice_points
+from tests.conftest import lattice_points, log_abs_cos_mean_quad
 
 mpmath.mp.dps = 30
 
@@ -533,6 +533,36 @@ def test_li_values_and_monotonicity():
         sp.log_integral(1.5)
 
 
+def _mp_li_from_2(x):
+    with mpmath.workdps(40):
+        return mpmath.li(x) - mpmath.li(2)
+
+
+def test_li_large_x_vs_mpmath():
+    for x in (5e4, 1e5, 1e6):
+        ref = _mp_li_from_2(x)
+        val = sp.log_integral(x)
+        assert math.isfinite(val)
+        assert abs(val - ref) <= 4e-15 * max(1.0, abs(ref)), x
+    for bad in (math.nan, math.inf, -math.inf, 1.999999):
+        with pytest.raises(DomainError):
+            sp.log_integral(bad)
+
+
+def test_li_series_vs_mpmath_on_ring_and_sweep():
+    """li(x) - li(2) over (1, 1e6]: the ring x = 1 + 10^-k next to the
+    log log x singularity, and a log-spaced sweep in x - 1."""
+    ring = [1.0 + 10.0 ** -k for k in range(1, 13)]
+    sweep = [1.0 + float(d) for d in np.geomspace(1e-12, 1e6 - 1.0, 200)]
+    for x in ring + sweep + [2.0, 2.0 + 1e-9]:
+        ref = _mp_li_from_2(x)
+        assert abs(sp._li_from_2(x) - ref) <= 4e-15 * max(1.0, abs(ref)), x
+    assert sp._li_from_2(2.0) == 0.0
+    for bad in (1.0, 0.5, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            sp._li_from_2(bad)
+
+
 # ----------------------------------------------------------------------
 # prime sums
 
@@ -587,6 +617,6 @@ def test_log_abs_cos_mean_branches_agree_at_a_equals_b():
 
 def test_log_abs_cos_mean_vs_quadrature():
     for a, b in [(2, 1), (1, 1), (1, 3), (0.3, 2.7), (4.9, 4.9)]:
-        assert abs(sp.log_abs_cos_mean(a, b) - sp.log_abs_cos_mean_quad(a, b)) < 1e-8
+        assert abs(sp.log_abs_cos_mean(a, b) - log_abs_cos_mean_quad(a, b)) < 1e-8
     with pytest.raises(DomainError):
         sp.log_abs_cos_mean(-1, 2)

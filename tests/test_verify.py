@@ -119,3 +119,25 @@ def test_report_json_roundtrip():
     parsed = json.loads(blob)
     assert json.dumps(parsed, sort_keys=True) == blob
     assert parsed["pass"] is True
+
+
+def test_region_critical_samples_t0_once(chi229, monkeypatch):
+    """With t_lo = 0 the mirrored ordinates hold t = 0 once, so the used
+    and skipped points add up to the number of distinct ordinates."""
+    grid = vf.GridSpec(dt=0.5, tmax=10.0)
+    seen = []
+    scan = vf._max_re_logderiv
+
+    def recording(chi, points):
+        points = list(points)
+        out = scan(chi, points)
+        seen.append((points, out))
+        return out
+
+    monkeypatch.setattr(vf, "_max_re_logderiv", recording)
+    rep = vf.check_region_negativity(chi229, "critical", grid)
+    assert rep.params["t_lo"] == 0.0
+    (points, (_, used, skipped)), = seen
+    assert len(set(points)) == len(points) == 41
+    assert used + skipped == 41
+    assert rep.skipped_points == skipped
