@@ -6,11 +6,19 @@ terms, and Bernoulli corrections, with (N, K) chosen per point so that the
 standard remainder bound plus a rounding estimate meets the target.  The
 candidate pairs of a point share one prefix sum of log|s + i| for the
 Pochhammer factor of that bound, so each pair costs only a few flops.  One
-engine, _em_eval, serves single points and the grids of the zero scans; a
-grid row is bit for bit the single-point evaluation at that s.  The
-derivative in s comes from termwise differentiation of the same expansion;
-a Cauchy-circle quadrature of the undifferentiated routine is kept as an
-independent cross-check of that route.
+engine, _em_eval, serves single points; its array form gives rows that are
+bit for bit the single-point evaluations.  The derivative in s comes from
+termwise differentiation of the same expansion; a Cauchy-circle quadrature
+of the undifferentiated routine is kept as an independent cross-check of
+that route.
+
+The grids of the zero scans go through hurwitz_grid, which evaluates
+sum_m f(m) m^-s for q-periodic f on a product of real parts sigma and
+imaginary parts t.  There each Euler-Maclaurin piece except the pole term
+is a function of sigma times a function of t (m^-s = m^-sigma e^(-it log m),
+and (s)_{2j-1} is a polynomial in it), so a chunk of the grid is one real
+matrix product; K is then nearly free and N runs small.  Each value comes
+with its own error bound.
 
 Digamma and log-gamma use recurrence shifts to Re(z) >= 10 followed by the
 asymptotic Bernoulli series; both are valid on the cut plane C \\ (-inf, 0].
@@ -375,38 +383,246 @@ def _em_remainder_grid(sigma_min: float, s_abs_max: float, K: int, x_min: float)
     return _em_bound((lead, -sigma_min - 2 * K - 1, tail), math.log(x_min))
 
 
-def hurwitz_grid(s: np.ndarray, a: np.ndarray, want_ds: bool = False, tol: float = 1e-10):
-    """Vectorized zeta(s, a) over a grid of s (all with Re s > 0) and a row of a.
+# ----------------------------------------------------------------------
+# Hurwitz sums on a product grid of sigma x t
 
-    The engine is the single-point one (_em_eval), run once for the chunk
-    with one (N, K).  Returns (vals, dvals, err), err of shape (C, A): one
-    conservative remainder bound for the whole chunk plus rounding.  Raises
-    PrecisionLossError when N = 4000 terms cannot bring the remainder bound
-    down to tol.
+_GRID_TOL = 1e-12  # target of each grid value's remainder bound
+_GRID_N_CAP = 4000
+_GRID_K_CAP = 40
+_GRID_ENTRIES = 1 << 17  # bounds a chunk's transient arrays (2 MiB of complex each)
+_POLE_DISK = 0.125  # requested points closer to s = 1 take the pole term in expm1 form
+_EPS_LD = float(np.finfo(np.longdouble).eps)
+_TWO_PI_LD = 8 * np.arctan(np.longdouble(1))
+
+
+def _grid_params(sigma_min: float, s_abs_max: float, x_min: float, scale: float,
+                 log_q: float, want_ds: bool) -> tuple[int, int, float]:
+    """(N, K, rem) for a grid with Re s >= sigma_min > 0 and |s| <= s_abs_max.
+
+    rem = scale q^-sigma_min _em_remainder_grid(sigma_min, s_abs_max, K, N + x_min),
+    times log(N + 2) + 2 (2K + 1) + log q for d/ds, bounds the remainder of
+    every grid value.  Of the pairs with rem <= _GRID_TOL and N <= 4000 the one
+    with the shortest contraction N + 2K per residue wins, the smaller K on ties.
     """
-    s = np.asarray(s, dtype=complex).ravel()
-    a = np.asarray(a, dtype=float).ravel()
-    sigma_min = float(s.real.min())
-    if sigma_min <= 0.0:
+    tol = _GRID_TOL
+    best = None
+    log_poch, i = 0.0, 0  # log_poch = sum of log(s_abs_max + i), i <= 2K
+    for K in range(1, _GRID_K_CAP + 1):
+        # N >= 1, so no larger K can win; and the t-side holds t^(2K - 1)
+        if best is not None and 2 * K + 1 >= best[0] or \
+                (2 * K - 1) * math.log(s_abs_max + 1.0) > 600.0:
+            break
+        while i <= 2 * K:
+            log_poch += math.log(s_abs_max + i)
+            i += 1
+        dfac = math.log(_GRID_N_CAP + 2.0) + 2 * (2 * K + 1) + log_q if want_ds else 1.0
+        log_r = (math.log(abs(_em_coef(K + 1))) + log_poch
+                 + math.log(max(1.0, (s_abs_max + 2 * K + 1) / (sigma_min + 2 * K + 1)))
+                 + math.log(scale * dfac / tol) - sigma_min * log_q)
+        log_x = log_r / (sigma_min + 2 * K + 1)  # rem <= tol once log(N + x_min) >= log_x
+        if log_x > math.log(_GRID_N_CAP + x_min):
+            continue
+        N = max(1, math.ceil(math.exp(log_x) - x_min))
+        if best is None or N + 2 * K < best[0]:
+            best = (N + 2 * K, N, K)
+    if best is not None:
+        _, N, K = best
+        while N <= _GRID_N_CAP:  # the closed form above can miss by a rounding
+            dfac = math.log(N + 2.0) + 2 * (2 * K + 1) + log_q if want_ds else 1.0
+            rem = scale * math.exp(-sigma_min * log_q) * dfac * \
+                _em_remainder_grid(sigma_min, s_abs_max, K, N + x_min)
+            if rem <= tol:
+                return N, K, rem
+            N += 1
+    raise PrecisionLossError(f"hurwitz_grid: tol {tol} unreachable with N <= {_GRID_N_CAP}",
+                             math.inf)
+
+
+def _pochhammer_coefs(sigma: np.ndarray, K: int) -> np.ndarray:
+    """out[j - 1, i, k]: the coefficient of tau^k in (sigma_i + tau)_{2j-1},
+    j = 1..K; all are >= 0 for sigma_i > 0."""
+    out = np.empty((K, len(sigma), 2 * K))
+    poly = np.zeros((len(sigma), 2 * K))
+    poly[:, 0] = 1.0
+    for i in range(2 * K - 1):  # multiply by (sigma + i + tau)
+        poly[:, 1:] = poly[:, 1:] * (sigma + i)[:, None] + poly[:, :-1]
+        poly[:, 0] *= sigma + i
+        if i % 2 == 0:
+            out[i // 2] = poly
+    return out
+
+
+def _phases(log_m: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """exp(-i t log m) of shape (M, T), from log m in long double: t log m is
+    reduced mod 2 pi before it is rounded, so each phase is off by at most
+    about 4 eps_ld |t| log m + 2 eps, not eps |t| log m."""
+    theta = np.multiply.outer(log_m, t.astype(np.longdouble))
+    theta -= np.rint(theta / _TWO_PI_LD) * _TWO_PI_LD
+    theta = theta.astype(float)
+    out = np.empty(theta.shape, dtype=complex)
+    out.real = np.cos(theta)
+    out.imag = -np.sin(theta)
+    return out
+
+
+def _pole_near(z: np.ndarray, w: np.ndarray, log_x: np.ndarray, q: int, want_ds: bool):
+    """The pole term sum_a w_a X_a^(1-s) / (q (s - 1)), or its d/ds, for s = 1 + z
+    near 1, and the summed magnitudes behind its rounding.
+
+    As sum_a w_a = 0 the term equals (1/q) sum_a w_a expm1(u_a) / z with
+    u_a = -z log X_a, that is -(1/q) sum_a w_a log X_a phi(u_a) where
+    phi(u) = expm1(u) / u; its d/ds is (1/q) sum_a w_a log^2 X_a phi'(u_a).
+    Both series converge fast for |u| <= _POLE_DISK log X, and neither
+    cancels the way X^(1-s) / (s - 1) does across the residues.
+    """
+    u = -np.multiply.outer(z, log_x)
+    u_max = float(np.abs(u).max())
+    n, bound = 1, u_max  # terms until u_max^n / (n + 1)! < eps / 16
+    while bound >= _EPS / 16:
+        n += 1
+        bound *= u_max / (n + 1)
+    d = 1 if want_ds else 0
+    # phi(u) = sum u^k / (k + 1)!, phi'(u) = sum (k + 1) u^k / (k + 2)!
+    coefs = [(k + 1) ** d / math.factorial(k + 1 + d) for k in range(n + 1)]
+    series = np.full(u.shape, coefs[n], dtype=complex)
+    for c in reversed(coefs[:n]):
+        series = series * u + c
+    weight = log_x ** (1 + d) / q
+    val = (series * weight) @ w * (1.0 if want_ds else -1.0)
+    mag = (np.exp(np.abs(u)) * weight) @ np.abs(w)
+    return val, mag
+
+
+def hurwitz_grid(sigma: np.ndarray, t: np.ndarray, q: int, f: np.ndarray,
+                 rows: np.ndarray, cols: np.ndarray, want_ds: bool = False):
+    """Z(s) = sum_{m >= 1} f(m) m^-s = q^-s sum_{a=1}^{q} f(a) zeta(s, a/q), or
+    Z'(s), at the points sigma[rows] + i t[cols] of the grid sigma x t (all
+    sigma > 0), for q-periodic f (f(m) = f[m % q]) summing to 0 over a period.
+
+    Returns (vals, errs) in the order of rows and cols; errs bound the
+    Euler-Maclaurin remainder plus the rounding of each value.  With
+    m = nq + a, X_a = Nq + a and x_a = X_a / q, Euler-Maclaurin gives
+
+      Z(s) = sum_{m < Nq} f(m) m^-s + sum_a f(a) X_a^-s
+               * (x_a / (s - 1) + 1/2 + sum_{j=1}^{K} c_j x_a^(1-2j) (s)_{2j-1}) + R.
+
+    Every piece but the pole term x_a / (s - 1) splits into a sigma factor
+    times a t factor: m^-s = m^-sigma exp(-i t log m), and (s)_{2j-1} is a
+    polynomial in tau = i t whose coefficients depend on sigma alone.  So a
+    chunk of the grid is one real matrix product, sigma-rows (m^-sigma, and
+    X_a^-sigma times the tau-coefficients) against t-columns (f(m)
+    exp(-i t log m), and f(a) tau^k exp(-i t log X_a)), and the pole term is
+    a second product of A columns.  Requested points within _POLE_DISK of
+    s = 1 take the pole term from _pole_near, where the separated form would
+    cancel; the other entries of the product are computed but not used.
+
+    Raises DomainError for sigma <= 0 or f that does not sum to 0, PoleError
+    for a requested point within 1e-12 of s = 1, and PrecisionLossError when
+    no N <= 4000 brings the remainder bound down to _GRID_TOL.
+    """
+    sigma = np.asarray(sigma, dtype=float).ravel()
+    t = np.asarray(t, dtype=float).ravel()
+    rows, cols = np.asarray(rows).ravel(), np.asarray(cols).ravel()
+    if not sigma.min() > 0.0:
         raise DomainError("hurwitz_grid serves only Re s > 0")
-    if np.any(np.abs(s - 1.0) < 1e-12):
-        raise PoleError("grid contains the pole s = 1")
-    s_abs_max = float(np.abs(s).max())
-    t_max = float(np.abs(s.imag).max())
-    a_min = float(a.min())
-    N = max(20, math.ceil(1.3 * t_max))
-    K = 25
-    rem = _em_remainder_grid(sigma_min, s_abs_max, K, N + a_min)
-    while rem > tol and N < 4000:
-        N = int(N * 1.6) + 4
-        rem = _em_remainder_grid(sigma_min, s_abs_max, K, N + a_min)
-    if rem > tol:
-        raise PrecisionLossError(f"hurwitz_grid: tol {tol} unreachable with N <= 4000", rem)
-    vals, dvals, _ = _em_eval(s, a, N, K, want_ds)
-    rem_out = rem * (1.0 if not want_ds else math.log(N + 2.0) + 2 * (2 * K + 1))
-    ref = np.abs(dvals if want_ds else vals)
-    errs = rem_out + 16 * _EPS * (N + K) * (1.0 + ref)
-    return vals, dvals, errs
+    near = np.flatnonzero((np.abs(sigma - 1.0) < 1e-12)[rows] & (np.abs(t) < 1e-12)[cols])
+    if np.any(np.abs(sigma[rows[near]] - 1.0 + 1j * t[cols[near]]) < 1e-12):
+        raise PoleError("a requested grid point lies within 1e-12 of the pole s = 1")
+    f = np.asarray(f, dtype=complex)
+    a = np.flatnonzero(f[np.arange(1, q + 1) % q]) + 1
+    w = f[a % q]
+    if abs(w.sum()) > 1e-12 * float(np.abs(w).sum()):
+        raise DomainError("hurwitz_grid needs f summing to 0 over a period")
+    A, log_q = len(a), math.log(q)
+    N, K, rem = _grid_params(float(sigma.min()), float(np.hypot(sigma.max(), np.abs(t).max())),
+                             a[0] / q, float(np.abs(w).sum()), log_q, want_ds)
+    AN = A * N
+    ints = np.concatenate([(np.arange(N)[:, None] * q + a).ravel(), N * q + a])
+    log_ld = np.log(ints.astype(np.longdouble))  # the phase rows: m < Nq, then X_a
+    logs = log_ld.astype(float)
+    log_m, log_x = logs[:AN], logs[AN:]
+    w_all = np.concatenate([np.tile(w, N), w])
+    absw_m = np.abs(w_all[:AN])
+    x = (N * q + a) / q
+    js = np.arange(1, K + 1)[:, None]
+    C = np.array([_em_coef(j) for j in range(1, K + 1)])[:, None] * x ** (1 - 2 * js)
+    tau_deg = np.arange(2 * K)
+    M = AN + 2 * K * A  # contraction length of the main product
+
+    # factor matrices of at most _GRID_ENTRIES entries; the dozen or so arrays
+    # of one value per point of a chunk share another _GRID_ENTRIES
+    sig_chunk = max(1, min(len(sigma), _GRID_ENTRIES // M))
+    t_chunk = max(1, min(_GRID_ENTRIES // M, _GRID_ENTRIES // (16 * sig_chunk)))
+    n_tchunks = -(-len(t) // t_chunk)
+    # the requested points by chunk; a grid scanned row by row is in order already
+    block = (rows // sig_chunk).astype(np.int64)  # rows may be 32-bit; block ids need not fit
+    block *= n_tchunks
+    block += cols // t_chunk
+    order = None
+    if not (block[1:] >= block[:-1]).all():
+        order = np.argsort(block, kind="stable")
+        block = block[order]
+    cuts = np.flatnonzero(block[1:] != block[:-1]) + 1
+    starts, ends = np.r_[0, cuts], np.r_[cuts, len(block)]
+
+    vals = np.empty(len(rows), dtype=complex)
+    errs = np.empty(len(rows))
+    cur = None
+    for b0, b1 in zip(starts, ends):
+        blk = int(block[b0])
+        si, ti = divmod(blk, n_tchunks)
+        r0, c0 = si * sig_chunk, ti * t_chunk
+        if si != cur:  # the sigma side of this chunk of rows
+            cur = si
+            sg = sigma[r0:r0 + sig_chunk]
+            D = np.exp(-np.multiply.outer(sg, log_m))
+            if want_ds:
+                D *= -log_m
+            xs = np.exp(-np.multiply.outer(sg, log_x))  # X_a^-sigma
+            H = _pochhammer_coefs(sg, K).transpose(1, 2, 0) @ C  # (sigma, tau^k, a)
+            H[:, 0, :] += 0.5
+            if want_ds:  # d/ds = d/dtau on the tau-polynomial, and -log X_a on X_a^-s
+                Hd = np.zeros_like(H)
+                Hd[:, :-1, :] = H[:, 1:, :] * tau_deg[1:, None]
+                H = Hd - log_x * H
+            V = xs[:, None, :] * H
+            W = np.concatenate([D, V.reshape(len(sg), 2 * K * A)], axis=1)
+            P = x * xs
+            Pm = np.concatenate([P, P * log_x]) if want_ds else P
+            acc0, acc1 = (np.abs(D) @ np.stack([absw_m, absw_m * log_m], axis=1)).T
+            v_acc = np.abs(V) @ np.abs(w)
+            p_acc = P @ np.abs(w)
+            pl_acc = (P * log_x) @ np.abs(w)
+        tc = t[c0:c0 + t_chunk]
+        E = _phases(log_ld, tc)
+        E *= w_all[:, None]
+        EX = E[AN:]
+        tau_pow = (1j * tc) ** tau_deg[:, None]
+        side = np.concatenate([E[:AN], (tau_pow[:, None, :] * EX).reshape(2 * K * A, len(tc))])
+        main = (W @ side.view(float)).view(complex)
+        pole = (Pm @ EX.view(float)).view(complex)
+        tail = v_acc @ np.abs(tau_pow)
+
+        idx = slice(b0, b1) if order is None else order[b0:b1]
+        r, c = rows[idx] - r0, cols[idx] - c0
+        z = sg[r] - 1.0 + 1j * tc[c]
+        p_mag = np.empty(len(z))
+        p_val = np.empty(len(z), dtype=complex)
+        far = np.abs(z) >= _POLE_DISK
+        zf, rf, cf = z[far], r[far], c[far]
+        if want_ds:
+            p_val[far] = -pole[len(sg) + rf, cf] / zf - pole[rf, cf] / (zf * zf)
+            p_mag[far] = pl_acc[rf] / np.abs(zf) + p_acc[rf] / np.abs(zf) ** 2
+        else:
+            p_val[far] = pole[rf, cf] / zf
+            p_mag[far] = p_acc[rf] / np.abs(zf)
+        if not far.all():
+            p_val[~far], p_mag[~far] = _pole_near(z[~far], w, log_x, q, want_ds)
+        vals[idx] = main[r, c] + p_val
+        mag = acc0[r] + tail[r, c] + p_mag
+        mag_log = acc1[r] + float(log_x.max()) * (tail[r, c] + p_mag)
+        errs[idx] = rem + 8 * _EPS * mag + (_EPS * sg[r] + 4 * _EPS_LD * np.abs(tc[c])) * mag_log
+    return vals, errs
 
 
 def _hurwitz_checked(s: complex, a: float, want_ds: bool, rel: float, shrink: float, what: str):

@@ -262,6 +262,8 @@ def check_count_asymptotic(
 
 def _distance_sum_main_term(q: int, m: int, T: float) -> float:
     x = q * T / (2.0 * math.pi)
+    if not x > 1.0:  # log log x and li(x) need x > 1
+        raise DomainError(f"the distance-sum main term needs qT/2pi > 1; q = {q}, T = {T} gives {x:.6g}")
     return (
         (T / math.pi) * math.log(math.log(x))
         + (T / math.pi) * (0.5 * math.log(m) - math.log(math.log(m)))
@@ -277,9 +279,9 @@ def check_distance_sum_asymptotic(
     t0 = time.perf_counter()
     sigma_r = max(10.0 * chi.m, 20.0)
     region = rectangle(0.0, sigma_r, -T, T)
+    main = _distance_sum_main_term(chi.q, chi.m, T)
     zs = list_zeros(chi, region, "Lprime")
     measured = sum((z.location.real - 0.5) * z.multiplicity for z in zs)
-    main = _distance_sum_main_term(chi.q, chi.m, T)
     norm = abs(measured - main) / (math.sqrt(chi.m) * math.log(chi.q * T))
     params = {"q": chi.q, "label": chi.label, "T": T, "count": len(zs),
               "sum": round(measured, 9), "main_term": round(main, 6)}

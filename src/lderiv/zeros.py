@@ -27,14 +27,14 @@ from .errors import (
     DomainError,
     InconclusiveBoundaryError,
     NumericalError,
+    PrecisionLossError,
     UniquenessViolationError,
 )
 from .lfunc import (
+    _grid_eval,
     eval_L,
-    eval_L_grid,
     eval_L_point,
     eval_Lprime,
-    eval_Lprime_grid,
     gest_bound,
 )
 from .numtypes import ComplexValue
@@ -777,12 +777,17 @@ def grid_zero_scan(
     dense |f| grid scan with Newton polishing; dedupe at 1e-6.
 
     The default sigma ceiling is the certified zero-free bound for G, so
-    for L' the scan provably covers all of Re s > 0.
+    for L' the scan provably covers all of Re s > 0.  Raises
+    PrecisionLossError when a grid value's error bound exceeds threshold/1000.
     """
+    candidates = _grid_candidates(chi, T, sigma_max, spacing, threshold, which)
+    return _polish_candidates(chi, T, candidates, which)
+
+
+def _grid_candidates(chi, T, sigma_max, spacing, threshold, which: Which) -> list[complex]:
+    """The grid points of the scan where |f| < threshold is a local minimum."""
     if sigma_max is None:
         sigma_max = zero_free_sigma(chi.m) if which == "Lprime" else 1.0
-    grid_eval = eval_Lprime_grid if which == "Lprime" else eval_L_grid
-    f = _evaluator(chi, which)
     sig = np.arange(spacing, sigma_max + spacing / 2, spacing)
     ts = np.arange(-T - 2 * spacing, T + 2.5 * spacing, spacing)
     candidates: list[complex] = []
@@ -797,15 +802,24 @@ def grid_zero_scan(
     for start in range(0, len(ts), band):
         tchunk = ts[start : start + band]
         S = sig[None, :] + 1j * tchunk[:, None]
-        # the Hurwitz engine cannot sit exactly on s = 1 (per-term pole,
-        # cancelled by the character sum); nudge such grid points
+        # the grid raises PoleError within 1e-12 of s = 1; nudge such points
         S = np.where(np.abs(S - 1.0) < 1e-9, S + 5e-8, S)
-        vals = np.abs(grid_eval(chi, S.ravel())).reshape(S.shape)
+        vals, errs = _grid_eval(chi, S.ravel(), which == "Lprime")
+        if errs.max() > threshold / 1000:
+            raise PrecisionLossError(
+                f"oracle grid error bound {errs.max():.3e} exceeds threshold/1000", float(errs.max()))
+        vals = np.abs(vals).reshape(S.shape)
         if held is not None:
             collect(*held, prev_row, vals[0])
             prev_row = held[1][-1]
         held = (tchunk, vals)
     collect(*held, prev_row, None)
+    return candidates
+
+
+def _polish_candidates(chi, T, candidates, which: Which) -> list[complex]:
+    """Newton from each candidate; the distinct zeros with Re s > 0, |Im s| <= T."""
+    f = _evaluator(chi, which)
     zeros: list[complex] = []
     for z0 in candidates:
         try:

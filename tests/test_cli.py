@@ -146,6 +146,14 @@ def test_exit_code_usage_error(capsys):
     assert code == 2
 
 
+def test_sum_rule_below_its_main_terms_domain_is_a_usage_error(capsys):
+    # the main term takes log log(qT/2pi): qT <= 2pi is bad input, not a failed check
+    for q, label, T in (("3", "0", "2"), ("5", "1", "0.5")):
+        code = cli.run(["verify", "sum-rule", "--q", q, "--label", label, "--T", T])
+        err = capsys.readouterr().err
+        assert code == 2 and "qT/2pi > 1" in err and "Traceback" not in err, (q, T)
+
+
 def test_exit_code_numerical_error(capsys):
     # outside the evaluation window -> precision loss -> exit 3
     code, _ = run_cli(capsys, "eval", "--q", "5", "--label", "1", "--re", "90",

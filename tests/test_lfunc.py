@@ -3,6 +3,7 @@
 import cmath
 import math
 import struct
+import warnings
 
 import mpmath
 import numpy as np
@@ -507,3 +508,33 @@ def test_point_cache_keys_of_the_pair(chi5, chi7_complex):
     assert pt.L is L and len(lf._POINT_CACHE) == 2
     assert _bits(pt.Lprime) == _bits(_ref_eval_hurwitz(chi5, 1.25 + 3j, True))
     lf.clear_cache()
+
+
+# ----------------------------------------------------------------------
+# the grid: the product of S's distinct real and imaginary parts
+
+def test_grid_values_do_not_depend_on_the_product_around_them(chi5, chi7_complex):
+    """_grid_eval evaluates the product of the distinct real x imaginary parts
+    of S.  Its entries that S does not hold raise nothing and warn nothing, and
+    each value equals the point's own 1 x 1 evaluation within the two bars."""
+    # an oracle band through t = 0, nudged off s = 1 as the oracle does
+    sig = np.arange(0.02, 7.39, 0.02)
+    ts = np.arange(-10.04, 10.05, 0.02)[482:522]
+    S = (sig[None, :] + 1j * ts[:, None]).ravel()
+    S = np.where(np.abs(S - 1.0) < 1e-9, S + 5e-8, S)
+    nudged = int(np.flatnonzero(S.real == 1.00000005)[0])
+    unheld = complex(1.0, S[nudged].imag)  # in the product, not in S
+    assert abs(unheld - 1.0) < 1e-12 and unheld not in S
+    assert unheld.real in S.real and unheld.imag in S.imag
+    scattered = np.array(lattice_points(40, (0.01, 8.0), (-101.0, 101.0)) + [1.0 + 1e-9j])
+    for chi in (chi5, chi7_complex):
+        for deriv in (False, True):
+            for pts, checked in ((S, list(range(0, len(S), 37)) + [nudged]),
+                                 (scattered, range(len(scattered)))):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with np.errstate(divide="raise", over="raise", invalid="raise"):
+                        vals, errs = lf._grid_eval(chi, pts, deriv)
+                for k in checked:
+                    v, e = lf._grid_eval(chi, pts[k:k + 1], deriv)
+                    assert abs(vals[k] - v[0]) <= errs[k] + e[0], (chi.q, deriv, pts[k])

@@ -7,6 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from lderiv import lfunc as lf
 from lderiv import special as sp
 from lderiv.errors import DomainError, PoleError, PrecisionLossError
 from tests.conftest import lattice_points, log_abs_cos_mean_quad
@@ -268,17 +269,9 @@ def test_hurwitz_core_returns_the_chosen_pairs_remainder():
         assert rem == sp._em_remainder(s, N, K, N + 1 / 7), s
 
 
-def test_hurwitz_grid_raises_at_its_term_cap():
-    s = np.array([0.5 + 10j, 1.5 - 3j])
-    a = np.array([0.2, 1.0])
-    vals, _, errs = sp.hurwitz_grid(s, a, tol=1e-10)
-    assert np.all(np.isfinite(vals)) and np.all(errs < 1e-9)
-    with pytest.raises(PrecisionLossError):
-        sp.hurwitz_grid(s, a, tol=1e-300)
-
-
 # Euler-Maclaurin engine: verbatim copies of the scalar engine and of the
-# grid engine it absorbed, kept as references for the merged _em_eval.
+# former grid engine, kept as references: for the merged _em_eval, and for
+# the zero oracle's candidates (tests/test_zeros.py).
 
 def _ref_em_eval(s: complex, a: np.ndarray, N: int, K: int, want_ds: bool):
     """Euler-Maclaurin evaluation of zeta(s, a) (and d/ds) for an array of a.
@@ -494,20 +487,56 @@ def test_em_eval_builds_absacc_only_on_request():
     assert sp._em_eval(np.array([2 + 1j]), a, 20, 6, True)[2] is None
 
 
-def test_hurwitz_grid_matches_reference_grid():
-    sig = np.linspace(0.05, 3.0, 8)
-    for a in _rows():
-        for t0, t1, tol in ((-30.0, 30.0, 1e-10), (60.0, 101.0, 1e-10), (-5.0, 5.0, 1e-14)):
-            ts = np.linspace(t0, t1, 15)
-            S = (sig[None, :] + 1j * ts[:, None]).ravel()
-            vals, _, errs = sp.hurwitz_grid(S, a, tol=tol)
-            rvals, _, rerrs = _ref_hurwitz_grid(S, a, tol=tol)
-            assert _same_bytes(vals, rvals) and _same_bytes(errs, rerrs), (len(a), t0, tol)
-            # only the 1/(s - 1)^2 term of d/ds changed its rounding
-            vals, dvals, _ = sp.hurwitz_grid(S, a, want_ds=True, tol=tol)
-            rvals, rdvals, _ = _ref_hurwitz_grid(S, a, want_ds=True, tol=tol)
-            assert _same_bytes(vals, rvals)
-            assert np.all(np.abs(dvals - rdvals) <= 1e-14 * (1.0 + np.abs(rdvals))), (len(a), t0)
+def _mp_L_pair(chi, s):
+    """(L, L')(s, chi) by mpmath's Hurwitz zeta with exact character values.
+    The working precision grows near s = 1, where the residues' 1/(s - 1)
+    and 1/(s - 1)^2 parts cancel."""
+    q = chi.q
+    with mpmath.workdps(20 + 2 * max(0, round(-math.log10(abs(s - 1.0))))):
+        z = mpmath.mpc(s.real, s.imag)
+        zsum = dsum = 0
+        for a in range(1, q):
+            if chi.exponents[a] is None:
+                continue
+            w = mpmath.expjpi(mpmath.mpf(2 * chi.exponents[a]) / chi.order)
+            x = mpmath.mpf(a) / q
+            zsum += w * mpmath.zeta(z, x)
+            dsum += w * mpmath.zeta(z, x, 1)
+        qs = mpmath.power(q, -z)
+        return complex(qs * zsum), complex(qs * (dsum - mpmath.log(q) * zsum))
+
+
+# the ring |s - 1| = 10^-k around the removable point s = 1
+_RING = [1.0 + 10.0 ** -k * cmath.exp(1j * (0.7 + 2.1 * k)) for k in range(3, 11)]
+
+
+def test_hurwitz_grid_err_is_honest_and_guarded(chi5, chi7_complex, chi229):
+    """|grid - mpmath| <= err for L and L' over 0 < Re s <= 8, |Im s| <= 101
+    and on the ring; off the ring err <= 1e-9 (1 + |value|).  chi_229's 228
+    residues split its call into several sigma- and t-chunks; mpmath costs
+    about 2 s per chi_229 point, so only four of its points are checked."""
+    window = lattice_points(16, (0.01, 8.0), (-101.0, 101.0)) + \
+        [1e-3 + 101j, 8.0 - 101j, 0.5 + 0j, 2.0 - 0.5j]
+    cases = [(chi5, window + _RING, None), (chi7_complex, window + _RING, None),
+             (chi229, lattice_points(30, (0.01, 8.0), (-101.0, 101.0)) + _RING,
+              [0, 7, 30, 37])]
+    for chi, pts, checked in cases:
+        S = np.array(pts)
+        got = [lf._grid_eval(chi, S, deriv) for deriv in (False, True)]
+        for k in checked or range(len(pts)):
+            for (vals, errs), ref in zip(got, _mp_L_pair(chi, pts[k])):
+                assert abs(vals[k] - ref) <= errs[k], (chi.q, pts[k], abs(vals[k] - ref), errs[k])
+                if abs(pts[k] - 1.0) > 0.5e-3:
+                    assert errs[k] <= 1e-9 * (1.0 + abs(vals[k])), (chi.q, pts[k], errs[k])
+    # the guards: Re s <= 0, a requested point at s = 1, and the N cap
+    for bad in ([0.5 + 1j, 0j], [-0.25 + 3j]):
+        with pytest.raises(DomainError):
+            lf.eval_L_grid(chi5, bad)
+    for pole in (1.0, 1.0 + 5e-13j, 1.0 - 9e-13):
+        with pytest.raises(PoleError):
+            lf.eval_Lprime_grid(chi5, [2.0 + 1j, pole])
+    with pytest.raises(PrecisionLossError):
+        lf.eval_L_grid(chi5, [0.5 + 3e4j])
 
 
 # ----------------------------------------------------------------------

@@ -8,7 +8,8 @@ import pytest
 from lderiv import characters as ch
 from lderiv import lfunc as lf
 from lderiv import zeros as zr
-from lderiv.errors import BoundaryZeroError, DomainError
+from lderiv.errors import BoundaryZeroError, DomainError, PrecisionLossError
+from tests.test_special import _ref_hurwitz_grid
 
 
 # ----------------------------------------------------------------------
@@ -128,6 +129,34 @@ def test_count_N1_matches_oracle(chi5):
         n = zr.count_N1(chi5, T)
         oracle = zr.grid_zero_scan(chi5, T)
         assert n == len(oracle), (T, n, oracle)
+
+
+def _ref_grid_eval(chi, S, deriv):
+    """L' over S as the oracle had it before the separable grid: the former
+    grid engine per residue, summed with the weights in chunks of 4096 points.
+    The error bars are zeros: the former engine gave none to the oracle."""
+    assert deriv
+    d, lq = chi.data, math.log(chi.q)
+    out = np.empty(len(S), dtype=complex)
+    for start in range(0, len(S), 4096):
+        s = S[start:start + 4096]
+        vals, dvals, _ = _ref_hurwitz_grid(s, d.residues, want_ds=True)
+        out[start:start + 4096] = np.exp(-s * lq) * (dvals @ d.weights - lq * (vals @ d.weights))
+    return out, np.zeros(len(S))
+
+
+def test_oracle_candidates_and_zeros_match_the_former_grid(chi5, chi7_complex, monkeypatch):
+    for chi in (chi5, chi7_complex):
+        got = zr._grid_candidates(chi, 5.0, None, 0.02, 0.1, "Lprime")
+        with monkeypatch.context() as m:
+            m.setattr(zr, "_grid_eval", _ref_grid_eval)
+            want = zr._grid_candidates(chi, 5.0, None, 0.02, 0.1, "Lprime")
+        assert got and [repr(z) for z in got] == [repr(z) for z in want], chi.q
+        zeros = zr.grid_zero_scan(chi, 5.0)
+        assert repr(zeros) == repr(zr._polish_candidates(chi, 5.0, want, "Lprime")), chi.q
+    # the scan refuses a grid whose bars exceed threshold/1000
+    with pytest.raises(PrecisionLossError):
+        zr.grid_zero_scan(chi5, 2.0, threshold=1e-10)
 
 
 def _ref_local_minima(vals, prev_row, next_row, threshold):
