@@ -539,6 +539,59 @@ def test_hurwitz_grid_err_is_honest_and_guarded(chi5, chi7_complex, chi229):
         lf.eval_L_grid(chi5, [0.5 + 3e4j])
 
 
+
+def _zero_sum_weights(q):
+    """q-periodic f: seeded complex weights on the residues prime to q,
+    shifted to sum to 0 over a period, as hurwitz_grid requires."""
+    res = np.array([a for a in range(1, q) if math.gcd(a, q) == 1])
+    rng = np.random.default_rng(q)
+    w = rng.normal(size=len(res)) + 1j * rng.normal(size=len(res))
+    f = np.zeros(q, dtype=complex)
+    f[res] = w - w.mean()
+    return f, res
+
+
+def test_hurwitz_grid_matches_reference_grid():
+    """The separable engine against the former per-residue grid engine,
+    summed as q^-s sum_a f(a) zeta(s, a/q): the two agree within the sum of
+    their error bounds, for Z and for Z', on the shifts of _rows()."""
+    sig = np.linspace(0.05, 3.0, 8)
+    for q in (5, 7, 49, 229):
+        f, res = _zero_sum_weights(q)
+        w, lq = f[res], math.log(q)
+        for t0, t1 in ((-30.0, 30.0), (60.0, 101.0), (-5.0, 5.0)):
+            ts = np.linspace(t0, t1, 15)
+            rows, cols = np.repeat(np.arange(8), 15), np.tile(np.arange(15), 8)
+            vals, errs = sp.hurwitz_grid(sig, ts, q, f, rows, cols)
+            dvals, derrs = sp.hurwitz_grid(sig, ts, q, f, rows, cols, want_ds=True)
+            for i, s_row in enumerate(sig):  # one sigma row at a time keeps the reference small
+                S = s_row + 1j * ts
+                zv, zd, ze = _ref_hurwitz_grid(S, res / q, want_ds=True)
+                _, _, zve = _ref_hurwitz_grid(S, res / q)
+                qs = np.abs(np.exp(-S * lq))
+                ref = np.exp(-S * lq) * (zv @ w)
+                dref = np.exp(-S * lq) * (zd @ w - lq * (zv @ w))
+                # the reference's bounds per residue, plus the rounding of its weighted sums
+                rerr = qs * (zve @ np.abs(w) + 4 * len(w) * sp._EPS * (np.abs(zv) @ np.abs(w)))
+                drerr = qs * (ze @ np.abs(w) + lq * zve @ np.abs(w)
+                              + 4 * len(w) * sp._EPS * (np.abs(zd) + lq * np.abs(zv)) @ np.abs(w))
+                k = slice(15 * i, 15 * (i + 1))
+                assert np.all(np.abs(vals[k] - ref) <= errs[k] + rerr), (q, s_row, t0)
+                assert np.all(np.abs(dvals[k] - dref) <= derrs[k] + drerr), (q, s_row, t0)
+                assert np.all(errs[k] <= 1e-9 * (1.0 + np.abs(vals[k]))), (q, s_row, t0)
+
+
+def test_hurwitz_grid_raises_at_its_term_cap():
+    f = np.array([0, 1, 1j, -1j, -1])  # the character mod 5 with chi(2) = i
+    vals, errs = sp.hurwitz_grid([0.5, 1.5], [10.0, -3.0], 5, f, [0, 1], [0, 1])
+    assert np.all(np.isfinite(vals)) and np.all(errs < 1e-9)
+    # |t| = 3e4 needs more than 4000 terms per residue for the grid tolerance
+    with pytest.raises(PrecisionLossError):
+        sp.hurwitz_grid([0.5], [3e4], 5, f, [0], [0])
+    with pytest.raises(PrecisionLossError):
+        sp.hurwitz_grid([0.5], [3e4], 5, f, [0], [0], want_ds=True)
+
+
 # ----------------------------------------------------------------------
 # logarithmic integral
 
