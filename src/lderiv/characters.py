@@ -57,13 +57,6 @@ def _factorize(q: int) -> list[tuple[int, int]]:
     return out
 
 
-def _euler_phi(q: int) -> int:
-    phi = 1
-    for p, e in _factorize(q):
-        phi *= (p - 1) * p ** (e - 1)
-    return phi
-
-
 def _multiplicative_order(g: int, q: int, group_order: int) -> int:
     # order of g divides group_order; walk its divisors
     order = group_order
@@ -179,11 +172,6 @@ class DirichletCharacter:
     is_quadratic: bool
     label: int
 
-    def exponent(self, n: int) -> Optional[tuple[int, int]]:
-        """Root-of-unity exponent pair (k, order) of chi(n), or None."""
-        k = self.exponents[n % self.q]
-        return None if k is None else (k, self.order)
-
     def __call__(self, n: int) -> complex:
         k = self.exponents[n % self.q]
         if k is None:
@@ -194,21 +182,12 @@ class DirichletCharacter:
             return -1 + 0j
         return cmath.exp(2j * cmath.pi * k / self.order)
 
-    @property
-    def is_even(self) -> bool:
-        return self.kappa == 0
-
     def conjugate(self) -> "DirichletCharacter":
         """The complex-conjugate character (same q, negated exponents)."""
         if self.order <= 2:
             return self
         conj = tuple(None if k is None else (-k) % self.order for k in self.exponents)
-        label = _label_of_exponent_table(self.q, conj, self.order)
-        return DirichletCharacter(
-            q=self.q, exponents=conj, order=self.order, kappa=self.kappa,
-            conductor=self.conductor, m=self.m, is_quadratic=self.is_quadratic,
-            label=label,
-        )
+        return _character_of_exponent_table(self.q, conj, self.order)
 
     @property
     def data(self) -> "CharacterData":
@@ -355,10 +334,13 @@ def from_label(q: int, label: int) -> DirichletCharacter:
     return chars[label]
 
 
-def _label_of_exponent_table(q: int, table: tuple[Optional[int], ...], order: int) -> int:
+def _character_of_exponent_table(
+    q: int, table: tuple[Optional[int], ...], order: int
+) -> DirichletCharacter:
+    """The enumerated primitive character mod q with this exponent table."""
     for chi in enumerate_primitive(q):
         if chi.order == order and chi.exponents == table:
-            return chi.label
+            return chi
     raise RuntimeError(f"character table not found in enumeration mod {q}")
 
 
@@ -426,17 +408,8 @@ def kronecker_character(d: int) -> DirichletCharacter:
             table[a] = 0
         elif v == -1:
             table[a] = 1
-    order = 2 if any(k == 1 for k in table) else 1
-    tup = tuple(table)
-    cond = _conductor_of(q, tup, order)
-    if cond != q:
-        raise RuntimeError(f"Kronecker character of {d} is not primitive mod {q}")
-    kappa = 0 if tup[q - 1] == 0 else 1
-    label = _label_of_exponent_table(q, tup, order)
-    return DirichletCharacter(
-        q=q, exponents=tup, order=order, kappa=kappa, conductor=cond,
-        m=min_coprime(q), is_quadratic=True, label=label,
-    )
+    # d != 1 makes the character nontrivial, so its order is 2
+    return _character_of_exponent_table(q, tuple(table), 2)
 
 
 def gauss_sum(chi: DirichletCharacter) -> ComplexValue:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-from dataclasses import dataclass
 import io
 import json
 import os
@@ -122,59 +121,36 @@ def _cmd_zeros(args) -> int:
 _CHECKS = ("all", "region", "origin-strip", "counting", "sum-rule", "speiser", "constants")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Which checks a verify run makes, on which characters; no hidden state,
-    clock, or RNG.  The output options stay on the parsed arguments."""
-
-    check: str
-    q: int | None
-    label: int | str  # an enumeration label, or "all"
-    T: float
-    region: str
-    spacing: float
-
-    def characters(self):
-        if self.label == "all":
-            return list(enumerate_primitive(self.q))
-        return [from_label(self.q, int(self.label))]
+def _checks_for(args, chi) -> list:
+    if args.check == "all":
+        return run_all(chi, T=args.T, with_constants=(args.label != "all"))
+    if args.check == "region":
+        grid = GridSpec(dsigma=args.spacing, dt=args.spacing)
+        return [check_region_negativity(chi, args.region, grid)]
+    if args.check == "origin-strip":
+        return [check_near_origin_strip(chi)]
+    if args.check == "counting":
+        return [check_count_asymptotic(chi, args.T)]
+    if args.check == "sum-rule":
+        return [check_distance_sum_asymptotic(chi, args.T)]
+    return [check_speiser(chi, args.T)]
 
 
-def _config_from_args(args) -> RunConfig:
+def _cmd_verify(args) -> int:
     label = args.label
-    if isinstance(label, str) and label != "all":
+    if label != "all":
         try:
             label = int(label)
         except ValueError as exc:
             raise DomainError(f"--label expects an integer or 'all', got {label!r}") from exc
-    return RunConfig(check=args.check, q=args.q, label=label, T=args.T,
-                     region=args.region, spacing=args.spacing)
-
-
-def _checks_for(cfg: RunConfig, chi) -> list:
-    if cfg.check == "all":
-        return run_all(chi, T=cfg.T, with_constants=(cfg.label != "all"))
-    if cfg.check == "region":
-        grid = GridSpec(dsigma=cfg.spacing, dt=cfg.spacing)
-        return [check_region_negativity(chi, cfg.region, grid)]
-    if cfg.check == "origin-strip":
-        return [check_near_origin_strip(chi)]
-    if cfg.check == "counting":
-        return [check_count_asymptotic(chi, cfg.T)]
-    if cfg.check == "sum-rule":
-        return [check_distance_sum_asymptotic(chi, cfg.T)]
-    return [check_speiser(chi, cfg.T)]
-
-
-def _cmd_verify(args) -> int:
-    cfg = _config_from_args(args)
-    if cfg.check == "constants":
+    if args.check == "constants":
         reports = check_reference_constants()
     else:
+        chars = enumerate_primitive(args.q) if label == "all" else [from_label(args.q, label)]
         reports = []
-        for chi in cfg.characters():
-            reports.extend(_checks_for(cfg, chi))
-        if cfg.label == "all":
+        for chi in chars:
+            reports.extend(_checks_for(args, chi))
+        if label == "all":
             reports.sort(key=lambda r: (str(r.params.get("label")), r.name,
                                         str(sorted(r.params.items()))))
     if args.csv:

@@ -267,8 +267,6 @@ def _F_pieces(chi: DirichletCharacter, s: complex):
     else:
         w = cmath.pi * s / 2.0
         trig = cmath.cos(w) if kappa == 0 else cmath.sin(w)
-        if trig == 0:
-            raise PoleError(f"F(s,chi) pole at s = {s}")
         lbase = leps + s * math.log(2.0 * math.pi) + (0.5 - s) * lq
         F = cmath.exp(lbase - log_gamma(s) - cmath.log(2.0 * trig))
         dtrig_over = -cmath.tan(w) if kappa == 0 else _cot(w)

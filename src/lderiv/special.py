@@ -81,11 +81,6 @@ def _em_coef(j: int) -> float:
     return float(_bernoulli_fraction(2 * j) / math.factorial(2 * j))
 
 
-@lru_cache(maxsize=None)
-def _bernoulli_float(n: int) -> float:
-    return float(_bernoulli_fraction(n))
-
-
 # ----------------------------------------------------------------------
 # digamma / log-gamma
 
@@ -282,14 +277,13 @@ def _cmul(z, w):
     return out
 
 
-def _em_eval(s, a: np.ndarray, N: int, K: int, want_ds: bool, want_abs: bool = False):
+def _em_eval(s, a: np.ndarray, N: int, K: int, want_ds: bool):
     """Euler-Maclaurin evaluation of zeta(s, a) (and d/ds) for an array of a.
 
     s is one complex, giving results of shape (A,), or an array of shape
     (C,), giving results of shape (C, A) whose rows are bit for bit the
     scalar calls.  Returns (vals, dvals, absacc): dvals is None unless
-    want_ds, and absacc, the summed magnitudes behind the rounding estimate,
-    is None unless want_abs.
+    want_ds; absacc holds the summed magnitudes behind the rounding estimate.
     """
     batch = isinstance(s, np.ndarray)
     if batch:
@@ -305,7 +299,7 @@ def _em_eval(s, a: np.ndarray, N: int, K: int, want_ds: bool, want_abs: bool = F
     terms = -s_n * logb
     np.exp(terms, out=terms)
     psum = terms.sum(axis=-1)
-    absacc = np.abs(terms).sum(axis=-1) if want_abs else None
+    absacc = np.abs(terms).sum(axis=-1)
     dsum = None
     if want_ds:
         terms *= logb
@@ -317,8 +311,7 @@ def _em_eval(s, a: np.ndarray, N: int, K: int, want_ds: bool, want_abs: bool = F
     xpms = np.exp(-s * logx)
     main2 = 0.5 * xpms
     vals = psum + main1 + main2
-    if want_abs:
-        absacc = absacc + np.abs(main1) + np.abs(main2)
+    absacc = absacc + np.abs(main1) + np.abs(main2)
     dvals = None
     if want_ds:
         if batch:  # CPython's complex power and quotient, as a scalar call has them
@@ -338,8 +331,7 @@ def _em_eval(s, a: np.ndarray, N: int, K: int, want_ds: bool, want_abs: bool = F
         c = _em_coef(j)
         term = c * P * xpow  # c is real, so NumPy rounds c * P as CPython does
         vals = vals + term
-        if want_abs:
-            absacc = absacc + np.abs(term)
+        absacc = absacc + np.abs(term)
         if want_ds:
             dvals = dvals + c * xpow * (dP - logx * P)
         u = s + (2 * j - 1)
@@ -364,7 +356,7 @@ def _hurwitz_core(s: complex, a: np.ndarray, want_ds: bool, tol: float):
     if np.any(a <= 0.0) or np.any(a > 1.0):
         raise DomainError("shift parameter a must lie in (0, 1]")
     N, K, rem = _choose_em_params(s, float(a.min()), tol)
-    vals, dvals, absacc = _em_eval(s, a, N, K, want_ds, want_abs=True)
+    vals, dvals, absacc = _em_eval(s, a, N, K, want_ds)
     errs = rem + 8 * _EPS * absacc
     if want_ds:
         # differentiated series: remainder picks up roughly a log x factor
@@ -652,14 +644,13 @@ def hurwitz_zeta_ds(s: complex, a: float) -> ComplexValue:
     return _hurwitz_checked(s, a, True, 1e-11, 50.0, "hurwitz_zeta_ds")
 
 
-def hurwitz_zeta_cauchy_ds(
-    s: complex, a: float, radius: float = 0.5, nodes: int = 128
-) -> ComplexValue:
-    """d/ds zeta(s, a) via Cauchy's integral formula on |w - s| = radius.
+def hurwitz_zeta_cauchy_ds(s: complex, a: float) -> ComplexValue:
+    """d/ds zeta(s, a) via Cauchy's integral formula on |w - s| = 1/2.
 
-    Trapezoidal quadrature on the circle; independent of the differentiated
-    series and used to cross-check it.
+    Trapezoidal quadrature with 128 nodes on the circle; independent of the
+    differentiated series and used to cross-check it.
     """
+    radius, nodes = 0.5, 128
     s = complex(s)
     if abs(s - 1.0) <= radius + 1e-9:
         raise DomainError("Cauchy circle would touch the pole at s = 1")

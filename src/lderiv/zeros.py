@@ -230,11 +230,11 @@ def _as_val(fv) -> tuple[complex, float]:
     return fv, 1e-12 * (1.0 + abs(fv))
 
 
+_MAX_EVALS = 400_000  # the walker's evaluation budget per contour
+
+
 def arg_variation(
-    f: Callable[[complex], object],
-    contour: Contour | list,
-    mesh: float = 1.0,
-    max_evals: int = 400_000,
+    f: Callable[[complex], object], contour: Contour | list, mesh: float = 1.0
 ) -> float:
     """Continuous variation of arg f along the contour, in radians.
 
@@ -248,7 +248,7 @@ def arg_variation(
     def get(piece, u):
         nonlocal evals
         evals += 1
-        if evals > max_evals:
+        if evals > _MAX_EVALS:
             raise NumericalError("argument walker exceeded its evaluation budget")
         v, e = _as_val(f(piece.point(u)))
         return v, e
@@ -287,17 +287,14 @@ def arg_variation(
 
 
 def winding_count(
-    f: Callable[[complex], object],
-    contour: Contour | list,
-    mesh: float = 1.0,
-    max_evals: int = 400_000,
+    f: Callable[[complex], object], contour: Contour | list, mesh: float = 1.0
 ) -> int:
     """Number of zeros of f inside the contour, counted with multiplicity.
 
     For a meromorphic f this is zeros minus poles.  The raw variation must
     sit within 0.05 turns of an integer or a NumericalError is raised.
     """
-    turns = arg_variation(f, contour, mesh=mesh, max_evals=max_evals) / (2.0 * math.pi)
+    turns = arg_variation(f, contour, mesh=mesh) / (2.0 * math.pi)
     n = round(turns)
     if abs(turns - n) > 0.05:
         raise NumericalError(f"argument variation {turns:.6f} turns is not an integer")
@@ -477,9 +474,9 @@ def count_N1_detailed(chi: DirichletCharacter, T: float, verify: bool = True) ->
         raise DomainError("count_N1 supports 2 <= T <= 50")
     sigma_r = max(10.0 * chi.m, 20.0)
     f = _evaluator(chi, "Lprime")
-    count, info = _count_rect_adaptive(chi, f, 0.0, sigma_r, T)
+    count, info = _count_rect_adaptive(f, 0.0, sigma_r, T)
     if verify:
-        count2, _ = _count_rect_adaptive(chi, f, 0.0, sigma_r + 5.0, T + info["t_shift"], mesh=0.5)
+        count2, _ = _count_rect_adaptive(f, 0.0, sigma_r + 5.0, T + info["t_shift"], mesh=0.5)
         if count2 != count:
             raise NumericalError(
                 f"N1 unstable: {count} at sigma_R={sigma_r}, {count2} at sigma_R+5"
@@ -493,12 +490,7 @@ def count_N1(chi: DirichletCharacter, T: float, verify: bool = True) -> int:
 
 
 def _count_rect_adaptive(
-    chi: DirichletCharacter,
-    f,
-    sigma_l: float,
-    sigma_r: float,
-    T: float,
-    mesh: float = 1.0,
+    f, sigma_l: float, sigma_r: float, T: float, mesh: float = 1.0
 ) -> tuple[int, dict]:
     """Winding on (sigma_l, sigma_r) x (-T', T') with T-perturbation and
     left-edge indentation when zeros sit on the boundary."""
@@ -765,30 +757,21 @@ def _local_minima(
     return np.nonzero(keep)
 
 
-def grid_zero_scan(
-    chi: DirichletCharacter,
-    T: float,
-    sigma_max: Optional[float] = None,
-    spacing: float = 0.02,
-    threshold: float = 0.1,
-    which: Which = "Lprime",
-) -> list[complex]:
-    """Zeros of L' (or L) with 0 < Re s <= sigma_max, |Im s| <= T, found by a
-    dense |f| grid scan with Newton polishing; dedupe at 1e-6.
+def grid_zero_scan(chi: DirichletCharacter, T: float, threshold: float = 0.1) -> list[complex]:
+    """Zeros of L' with 0 < Re s <= zero_free_sigma(chi.m), |Im s| <= T, found
+    by a dense |L'| scan on a 0.02 grid with Newton polishing; dedupe at 1e-6.
 
-    The default sigma ceiling is the certified zero-free bound for G, so
-    for L' the scan provably covers all of Re s > 0.  Raises
-    PrecisionLossError when a grid value's error bound exceeds threshold/1000.
+    The sigma ceiling is the certified zero-free bound for G, so the scan
+    provably covers all of Re s > 0.  Raises PrecisionLossError when a grid
+    value's error bound exceeds threshold/1000.
     """
-    candidates = _grid_candidates(chi, T, sigma_max, spacing, threshold, which)
-    return _polish_candidates(chi, T, candidates, which)
+    return _polish_candidates(chi, T, _grid_candidates(chi, T, threshold))
 
 
-def _grid_candidates(chi, T, sigma_max, spacing, threshold, which: Which) -> list[complex]:
-    """The grid points of the scan where |f| < threshold is a local minimum."""
-    if sigma_max is None:
-        sigma_max = zero_free_sigma(chi.m) if which == "Lprime" else 1.0
-    sig = np.arange(spacing, sigma_max + spacing / 2, spacing)
+def _grid_candidates(chi, T, threshold) -> list[complex]:
+    """The grid points of the scan where |L'| < threshold is a local minimum."""
+    spacing = 0.02
+    sig = np.arange(spacing, zero_free_sigma(chi.m) + spacing / 2, spacing)
     ts = np.arange(-T - 2 * spacing, T + 2.5 * spacing, spacing)
     candidates: list[complex] = []
 
@@ -804,7 +787,7 @@ def _grid_candidates(chi, T, sigma_max, spacing, threshold, which: Which) -> lis
         S = sig[None, :] + 1j * tchunk[:, None]
         # the grid raises PoleError within 1e-12 of s = 1; nudge such points
         S = np.where(np.abs(S - 1.0) < 1e-9, S + 5e-8, S)
-        vals, errs = _grid_eval(chi, S.ravel(), which == "Lprime")
+        vals, errs = _grid_eval(chi, S.ravel(), True)
         if errs.max() > threshold / 1000:
             raise PrecisionLossError(
                 f"oracle grid error bound {errs.max():.3e} exceeds threshold/1000", float(errs.max()))
@@ -817,9 +800,9 @@ def _grid_candidates(chi, T, sigma_max, spacing, threshold, which: Which) -> lis
     return candidates
 
 
-def _polish_candidates(chi, T, candidates, which: Which) -> list[complex]:
+def _polish_candidates(chi, T, candidates) -> list[complex]:
     """Newton from each candidate; the distinct zeros with Re s > 0, |Im s| <= T."""
-    f = _evaluator(chi, which)
+    f = _evaluator(chi, "Lprime")
     zeros: list[complex] = []
     for z0 in candidates:
         try:

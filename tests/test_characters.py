@@ -154,7 +154,10 @@ def test_kronecker_chi5(chi5):
     assert chi5.kappa == 0 and chi5.is_quadratic
 
 
-@pytest.mark.parametrize("d,kappa", [(5, 0), (-3, 1), (-4, 1), (8, 0), (-23, 1), (229, 0), (12, 0)])
+_FUNDAMENTAL = [(5, 0), (-3, 1), (-4, 1), (8, 0), (-23, 1), (229, 0), (12, 0)]
+
+
+@pytest.mark.parametrize("d,kappa", _FUNDAMENTAL)
 def test_kronecker_fundamental(d, kappa):
     chi = ch.kronecker_character(d)
     assert chi.q == abs(d)
@@ -219,6 +222,21 @@ def test_conjugate_character(chi7_complex):
         assert abs(conj(a) - chi7_complex(a).conjugate()) < 1e-15
     quad = ch.kronecker_character(5)
     assert quad.conjugate() is quad
+
+
+def test_conjugate_and_kronecker_return_the_enumerated_object():
+    # enumerate_primitive builds each character once; the others look it up
+    for q in list(range(3, 51)) + [229]:
+        # one modulus at a time: the enumeration's cache holds 32 moduli
+        chars = ch.enumerate_primitive(q)
+        if q == 229:
+            chars = [next(c for c in chars if c.order > 2)]
+        for chi in chars:
+            conj = chi.conjugate()
+            assert conj is ch.from_label(q, conj.label), (q, chi.label)
+    for d, _ in _FUNDAMENTAL:
+        chi = ch.kronecker_character(d)
+        assert chi is ch.from_label(abs(d), chi.label), d
 
 
 # ----------------------------------------------------------------------

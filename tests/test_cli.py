@@ -138,6 +138,19 @@ def test_verify_label_all(capsys):
     assert code == 2
 
 
+def test_verify_label_is_parsed_before_any_check(capsys):
+    # constants takes no character, yet a malformed label is still refused
+    for argv, msg in (
+        (("all", "--q", "5", "--label", "x"), "--label expects an integer or 'all'"),
+        (("constants", "--label", "x"), "--label expects an integer or 'all'"),
+        (("all", "--q", "5", "--label", "7"), "out of range"),
+    ):
+        code = cli.run(["verify", *argv])
+        captured = capsys.readouterr()
+        assert code == 2 and msg in captured.err and "Traceback" not in captured.err, argv
+        assert captured.out == "", argv
+
+
 def test_exit_code_usage_error(capsys):
     assert cli.run(["no-such-command"]) == 2
     assert cli.run(["char", "list", "--q", "not-an-int"]) == 2

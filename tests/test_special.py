@@ -473,18 +473,12 @@ def test_em_eval_batch_rows_equal_scalar_calls():
     for a in _rows():
         for N, K in ((2, 6), (20, 25), (110, 59)):
             for want_ds in (False, True):
-                vals, dvals, absacc = sp._em_eval(S, a, N, K, want_ds, want_abs=True)
+                vals, dvals, absacc = sp._em_eval(S, a, N, K, want_ds)
                 assert vals.shape == absacc.shape == (len(S), len(a))
                 for i, s in enumerate(S):
-                    v, d, acc = sp._em_eval(complex(s), a, N, K, want_ds, want_abs=True)
+                    v, d, acc = sp._em_eval(complex(s), a, N, K, want_ds)
                     assert _same_bytes(vals[i], v) and _same_bytes(absacc[i], acc), (s, N, K)
                     assert _same_bytes(None if d is None else dvals[i], d), (s, N, K)
-
-
-def test_em_eval_builds_absacc_only_on_request():
-    a = np.array([0.2, 1.0])
-    assert sp._em_eval(2 + 1j, a, 20, 6, False)[2] is None
-    assert sp._em_eval(np.array([2 + 1j]), a, 20, 6, True)[2] is None
 
 
 def _mp_L_pair(chi, s):

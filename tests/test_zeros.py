@@ -147,13 +147,13 @@ def _ref_grid_eval(chi, S, deriv):
 
 def test_oracle_candidates_and_zeros_match_the_former_grid(chi5, chi7_complex, monkeypatch):
     for chi in (chi5, chi7_complex):
-        got = zr._grid_candidates(chi, 5.0, None, 0.02, 0.1, "Lprime")
+        got = zr._grid_candidates(chi, 5.0, 0.1)
         with monkeypatch.context() as m:
             m.setattr(zr, "_grid_eval", _ref_grid_eval)
-            want = zr._grid_candidates(chi, 5.0, None, 0.02, 0.1, "Lprime")
+            want = zr._grid_candidates(chi, 5.0, 0.1)
         assert got and [repr(z) for z in got] == [repr(z) for z in want], chi.q
         zeros = zr.grid_zero_scan(chi, 5.0)
-        assert repr(zeros) == repr(zr._polish_candidates(chi, 5.0, want, "Lprime")), chi.q
+        assert repr(zeros) == repr(zr._polish_candidates(chi, 5.0, want)), chi.q
     # the scan refuses a grid whose bars exceed threshold/1000
     with pytest.raises(PrecisionLossError):
         zr.grid_zero_scan(chi5, 2.0, threshold=1e-10)
