@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from typing import Optional
+from weakref import WeakValueDictionary
 
 import numpy as np
 
@@ -304,12 +305,20 @@ def _all_exponent_tables(q: int):
     return chars
 
 
+# every character object still in use, by (q, label): a modulus enumerated
+# again after the cache below dropped it gets those objects back
+_LIVE: WeakValueDictionary = WeakValueDictionary()
+
+
 @lru_cache(maxsize=32)
 def enumerate_primitive(q: int) -> tuple[DirichletCharacter, ...]:
     """All primitive characters mod q, deterministically labeled.
 
     Raises DomainError for q < 3 (no primitive character mod 1 or 2 is of
     interest here).  May legitimately return an empty tuple, e.g. q = 6.
+    A character is one object for as long as it is in use, whatever the
+    modulus and however many moduli were enumerated since: from_label,
+    conjugate and kronecker_character return it.
     """
     if q < 3:
         raise DomainError(f"q = {q} < 3: no primitive characters to enumerate")
@@ -323,7 +332,7 @@ def enumerate_primitive(q: int) -> tuple[DirichletCharacter, ...]:
             q=q, exponents=table, order=order, kappa=kappa, conductor=cond,
             m=m, is_quadratic=(order == 2), label=len(out),
         )
-        out.append(chi)
+        out.append(_LIVE.setdefault((q, chi.label), chi))
     return tuple(out)
 
 

@@ -29,6 +29,17 @@ use the pair, and so does L' alone on the functional-equation route.  The
 values are byte-identical to separate evaluations, and the point cache
 holds the same keys: one per value asked for, none for the inner L(1-s).
 
+Many points at once (eval_L_points, and _eval_many behind it) take the
+auto route's values through one batch: each point is looked up in the
+point cache, each miss gets the scalar route choice and its own
+Euler-Maclaurin (N, K), and the Hurwitz-engine work of all the misses --
+the Hurwitz route and the functional equation's inner L(1-s), L'(1-s) --
+goes through the engine in one call per chunk of points that share
+(N, K).  The series route and F(s) stay one call per point.  The values,
+error bars and point-cache keys are the scalar calls' bit for bit: the
+error-bar arithmetic after the engine (special._em_errs, _hurwitz_values,
+_fe_values) is one body for both.
+
 eval_L_grid and eval_Lprime_grid serve arrays of points with Re s > 0 (the
 zero oracle's grids) outside the point cache: one special.hurwitz_grid call
 over the distinct real parts x the distinct imaginary parts; the zero
@@ -49,7 +60,9 @@ from .errors import DomainError, NearZeroError, NumericalError, PoleError, Preci
 from .numtypes import ComplexValue
 from .special import (
     _digamma,
+    _em_params,
     _hurwitz_core,
+    _hurwitz_core_many,
     hurwitz_grid,
     log_gamma,
     primes_up_to,
@@ -62,6 +75,7 @@ __all__ = [
     "eval_L",
     "eval_Lprime",
     "eval_L_point",
+    "eval_L_points",
     "eval_F",
     "eval_logderiv_via_fteq",
     "eval_G",
@@ -207,8 +221,15 @@ def _eval_hurwitz(chi: DirichletCharacter, s: complex, derivs: tuple) -> tuple:
     One value per entry of derivs, all from one engine pass: the pass that
     yields d/ds yields the undifferentiated values and bars bit for bit.
     """
+    vals, dvals, errs, errs_ds, _rem = _hurwitz_core(s, chi.data.residues, True in derivs, 1e-13)
+    return _hurwitz_values(chi, s, derivs, vals, dvals, errs, errs_ds)
+
+
+def _hurwitz_values(chi: DirichletCharacter, s: complex, derivs: tuple,
+                    vals, dvals, errs, errs_ds) -> tuple:
+    """The route's values and bars from one engine result at s (the scalar
+    call's or one row of a batch)."""
     d = chi.data
-    vals, dvals, errs, errs_ds, _rem = _hurwitz_core(s, d.residues, True in derivs, 1e-13)
     qps = cmath.exp(-s * math.log(chi.q))
     zsum = complex(np.dot(d.weights, vals))
     out = []
@@ -303,23 +324,39 @@ def _eval_upper(chi: DirichletCharacter, s: complex, derivs: tuple) -> tuple:
     The choice is made per entry of derivs (L' needs more terms than L);
     entries that share a route share one pass.
     """
+    out = ()
+    for series, part in _upper_parts(chi, s, derivs):
+        out += (_eval_series if series else _eval_hurwitz)(chi, s, part)
+    return out
+
+
+def _upper_parts(chi: DirichletCharacter, s: complex, derivs: tuple) -> list:
+    """_eval_upper's passes at s as (by series, their derivs), in derivs order."""
     by_series = [
         s.real >= 2.0 and _series_cutoff(chi, s, deriv, 3e-10) <= 50_000 for deriv in derivs
     ]
-    if all(by_series):
-        return _eval_series(chi, s, derivs)
-    if not any(by_series):
-        return _eval_hurwitz(chi, s, derivs)
+    if all(by_series) or not any(by_series):
+        return [(by_series[0], derivs)]
     # a pair split between the routes (L' needs more series terms than L)
-    return tuple(_eval_upper(chi, s, (deriv,))[0] for deriv in derivs)
+    return [(series, (deriv,)) for series, deriv in zip(by_series, derivs)]
 
 
 def _eval_fe(chi: DirichletCharacter, s: complex, derivs: tuple) -> tuple:
     """F(s) L(1-s, conj chi) and its derivative F' L(1-s) - F L'(1-s); one
     F and one pass at 1-s serve every entry of derivs."""
-    chib = chi.data.conj
     F, Fp, _ = _F_pieces(chi, s)
-    inner = _eval_upper(chib, 1.0 - s, _PAIR if True in derivs else (False,))
+    inner = _eval_upper(chi.data.conj, 1.0 - s, _fe_inner(derivs))
+    return _fe_values(F, Fp, inner, derivs)
+
+
+def _fe_inner(derivs: tuple) -> tuple:
+    """The derivs of the functional equation's pass at 1 - s."""
+    return _PAIR if True in derivs else (False,)
+
+
+def _fe_values(F: ComplexValue, Fp: ComplexValue, inner: tuple, derivs: tuple) -> tuple:
+    """The functional equation's values and bars from F, F' at s and the
+    pass (L, [L']) at 1 - s."""
     L2 = inner[0]
     out = []
     for deriv in derivs:
@@ -339,6 +376,12 @@ def _eval_fe(chi: DirichletCharacter, s: complex, derivs: tuple) -> tuple:
     return tuple(out)
 
 
+def _auto_route(s: complex) -> str:
+    """The auto route at s: "fe" below Re s = 0, "upper" from Re s = 2 on,
+    "hurwitz" between."""
+    return "fe" if s.real < 0.0 else "upper" if s.real >= 2.0 else "hurwitz"
+
+
 def _eval(chi: DirichletCharacter, s: complex, deriv, route: str):
     """L (deriv False) or L' (deriv True) as a ComplexValue, or with deriv
     _PAIR the tuple (L, L') from one pass of the route.  On the auto route
@@ -353,9 +396,10 @@ def _eval(chi: DirichletCharacter, s: complex, deriv, route: str):
             return _POINT_CACHE[key]
     derivs = deriv if pair else (deriv,)
     if route == "auto":
-        if s.real < 0.0:
+        auto = _auto_route(s)
+        if auto == "fe":
             out = _eval_fe(chi, s, derivs)
-        elif s.real >= 2.0:
+        elif auto == "upper":
             out = _eval_upper(chi, s, derivs)
         else:
             out = _eval_hurwitz(chi, s, derivs)
@@ -374,6 +418,85 @@ def _eval(chi: DirichletCharacter, s: complex, deriv, route: str):
         for d, val in zip(derivs, out):
             _cache_put(_cache_key(chi, s, d), val)
     return out if pair else out[0]
+
+
+_MANY_BLOCK = 512  # points per batch: bounds a batch's transient objects
+
+
+def _eval_many(chi: DirichletCharacter, points, derivs: tuple) -> list:
+    """_eval on the auto route at each of the points: one tuple per point
+    holding one ComplexValue per entry of derivs, bit for bit the scalar
+    calls.  Cached values are returned as they are; at every other point the
+    derivs not cached are evaluated in one pass, as eval_L_point does, and
+    cached under the keys the scalar calls write, in the same order.  The
+    points go _MANY_BLOCK at a time through _eval_block."""
+    points = [complex(s) for s in points]
+    out: list = []
+    for start in range(0, len(points), _MANY_BLOCK):
+        out += _eval_block(chi, points[start:start + _MANY_BLOCK], derivs)
+    return out
+
+
+def _eval_block(chi: DirichletCharacter, points: list, derivs: tuple) -> list:
+    """_eval_many on one block of complex points.  The Hurwitz-engine work of
+    its passes -- the Hurwitz route and the functional equation's inner
+    L(1-s), L'(1-s) -- goes through special._hurwitz_core_many, one engine
+    call per chunk of points that share (N, K); the series route and F(s)
+    stay scalar.  A point that the scalar calls would refuse raises the same
+    error, the first in order."""
+    got: dict = {}  # (s, deriv) -> value, for the answer
+    todo: dict = {}  # s -> (derivs to evaluate, parts, (F, F') or None)
+    leaves: list = []  # (character, point, derivs) of each Hurwitz pass
+    params: list = []  # the engine's (N, K, rem) of each leaf
+    a_min = float(chi.data.residues.min())  # conj chi has the same residues a/q
+
+    def leaf(c, z, ds):  # a Hurwitz pass, deferred: its index
+        params.append(_em_params(z, a_min, 1e-13))
+        leaves.append((c, z, ds))
+        return len(leaves) - 1
+
+    def upper(c, z, ds):  # _eval_upper's passes: a value tuple, or a leaf index
+        return [_eval_series(c, z, part) if series else leaf(c, z, part)
+                for series, part in _upper_parts(c, z, ds)]
+
+    for s in points:
+        _check_window(chi, s)
+        if s in todo:
+            continue
+        need = []
+        for d in derivs:
+            key = _cache_key(chi, s, d)
+            if key in _POINT_CACHE:
+                got[s, d] = _POINT_CACHE[key]
+            else:
+                need.append(d)
+        if not need:
+            continue
+        need = tuple(need)
+        route = _auto_route(s)
+        if route == "fe":
+            F, Fp, _ = _F_pieces(chi, s)
+            todo[s] = (need, upper(chi.data.conj, 1.0 - s, _fe_inner(need)), (F, Fp))
+        elif route == "upper":
+            todo[s] = (need, upper(chi, s, need), None)
+        else:
+            todo[s] = (need, [leaf(chi, s, need)], None)
+
+    results = [None] * len(leaves)
+    want_ds = any(True in ds for _, _, ds in leaves)
+    core = _hurwitz_core_many([z for _, z, _ in leaves], params, chi.data.residues, want_ds)
+    for i, (vals, dvals, errs, errs_ds) in core:
+        c, z, ds = leaves[i]
+        results[i] = _hurwitz_values(c, z, ds, vals, dvals, errs, errs_ds)
+
+    for s, (need, parts, fe) in todo.items():
+        out = sum((results[p] if isinstance(p, int) else p for p in parts), ())
+        if fe is not None:
+            out = _fe_values(*fe, out, need)
+        for d, val in zip(need, out):
+            _cache_put(_cache_key(chi, s, d), val)
+            got[s, d] = val
+    return [tuple(got[s, d] for d in derivs) for s in points]
 
 
 def eval_L(chi: DirichletCharacter, s: complex, route: str = "auto") -> ComplexValue:
@@ -398,6 +521,17 @@ def eval_L_point(chi: DirichletCharacter, s: complex) -> LPoint:
         Lp = eval_Lprime(chi, s)
     else:
         L, Lp = _eval(chi, s, _PAIR, "auto")
+    return _lpoint(s, L, Lp)
+
+
+def eval_L_points(chi: DirichletCharacter, points) -> list[LPoint]:
+    """eval_L_point at each of the points, with the same values, bars and
+    point-cache keys; the engine work is batched (see _eval_many)."""
+    points = list(points)
+    return [_lpoint(s, L, Lp) for s, (L, Lp) in zip(points, _eval_many(chi, points, _PAIR))]
+
+
+def _lpoint(s, L: ComplexValue, Lp: ComplexValue) -> LPoint:
     if abs(L.value) <= NOISE_FLOOR * (1.0 + abs(Lp.value)):
         logderiv = None
     else:

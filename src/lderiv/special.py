@@ -7,7 +7,8 @@ standard remainder bound plus a rounding estimate meets the target.  The
 candidate pairs of a point share one prefix sum of log|s + i| for the
 Pochhammer factor of that bound, so each pair costs only a few flops.  One
 engine, _em_eval, serves single points; its array form gives rows that are
-bit for bit the single-point evaluations.  The derivative in s comes from
+bit for bit the single-point evaluations, and _hurwitz_core_many feeds it
+many points at once, grouped by their own (N, K).  The derivative in s comes from
 termwise differentiation of the same expansion; a Cauchy-circle quadrature
 of the undifferentiated routine is kept as an independent cross-check of
 that route.
@@ -350,21 +351,62 @@ def _hurwitz_core(s: complex, a: np.ndarray, want_ds: bool, tol: float):
     term; rem is the remainder bound alone (what the (N, K) policy controls).
     """
     s = complex(s)
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    if s != 1.0 and (np.any(a <= 0.0) or np.any(a > 1.0)):  # the pole is reported first
+        raise DomainError("shift parameter a must lie in (0, 1]")
+    N, K, rem = _em_params(s, float(a.min()), tol)
+    vals, dvals, absacc = _em_eval(s, a, N, K, want_ds)
+    errs, errs_ds = _em_errs(rem, N, K, absacc, want_ds)
+    return vals, dvals, errs, errs_ds, rem
+
+
+def _em_params(s: complex, a_min: float, tol: float) -> tuple[int, int, float]:
+    """_choose_em_params at s; PoleError at s = 1, the pole of every zeta(s, a)."""
     if s == 1.0:
         raise PoleError("Hurwitz zeta pole at s = 1")
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    if np.any(a <= 0.0) or np.any(a > 1.0):
-        raise DomainError("shift parameter a must lie in (0, 1]")
-    N, K, rem = _choose_em_params(s, float(a.min()), tol)
-    vals, dvals, absacc = _em_eval(s, a, N, K, want_ds)
+    return _choose_em_params(s, a_min, tol)
+
+
+def _em_errs(rem, N: int, K: int, absacc: np.ndarray, want_ds: bool):
+    """(errs, errs_ds) of one engine result: the remainder bound rem plus a
+    conservative rounding term per shift a; errs_ds is None unless want_ds.
+    rem may be a float (absacc of shape (A,)) or a (C, 1) array (absacc of
+    shape (C, A)); each row then equals the scalar call bit for bit."""
     errs = rem + 8 * _EPS * absacc
-    if want_ds:
-        # differentiated series: remainder picks up roughly a log x factor
-        errs_ds = rem * (math.log(N + 1.0) + 2.0 * (2 * K + 1)) + 8 * _EPS * absacc * (
-            math.log(N + 2.0) + 1.0
-        )
-        return vals, dvals, errs, errs_ds, rem
-    return vals, None, errs, None, rem
+    if not want_ds:
+        return errs, None
+    # differentiated series: remainder picks up roughly a log x factor
+    errs_ds = rem * (math.log(N + 1.0) + 2.0 * (2 * K + 1)) + 8 * _EPS * absacc * (
+        math.log(N + 2.0) + 1.0
+    )
+    return errs, errs_ds
+
+
+_BATCH_ENTRIES = 1 << 16  # bounds a batch chunk's C * A * N engine entries (1 MiB of complex)
+
+
+def _hurwitz_core_many(S, params, a: np.ndarray, want_ds: bool):
+    """_hurwitz_core's (vals, dvals, errs, errs_ds) at each point of the list
+    S, whose (N, K, rem) _em_params gave as params, yielded as (i, tuple) and
+    bit for bit the scalar calls: the points are grouped by (N, K), and each
+    group goes through the engine's array form in chunks of at most
+    _BATCH_ENTRIES entries of C * A * N.  a holds valid shifts.  Every row is
+    a view of its chunk's arrays, so a consumer that keeps a row keeps its
+    chunk."""
+    groups: dict = {}
+    for i, (N, K, _) in enumerate(params):
+        groups.setdefault((N, K), []).append(i)
+    for (N, K), idx in groups.items():
+        step = max(1, _BATCH_ENTRIES // (len(a) * N))
+        for start in range(0, len(idx), step):
+            chunk = idx[start:start + step]
+            vals, dvals, absacc = _em_eval(np.array([S[i] for i in chunk], dtype=complex),
+                                           a, N, K, want_ds)
+            rem = np.array([params[i][2] for i in chunk])[:, None]
+            errs, errs_ds = _em_errs(rem, N, K, absacc, want_ds)
+            for r, i in enumerate(chunk):
+                yield i, (vals[r], None if dvals is None else dvals[r], errs[r],
+                          None if errs_ds is None else errs_ds[r])
 
 
 def _em_remainder_grid(sigma_min: float, s_abs_max: float, K: int, x_min: float) -> float:

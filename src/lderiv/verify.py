@@ -20,6 +20,7 @@ from .characters import DirichletCharacter, kronecker_character
 from .errors import DomainError
 from .lfunc import (
     eval_L_point,
+    eval_L_points,
     eval_Lprime,
     logderiv_euler_product,
 )
@@ -87,8 +88,7 @@ def _max_re_logderiv(
     """(max Re L'/L over usable points, #points used, #skipped near zeros)."""
     worst = -math.inf
     used = skipped = 0
-    for s in points:
-        pt = eval_L_point(chi, s)
+    for pt in eval_L_points(chi, points):
         if pt.logderiv is None:
             skipped += 1
             continue
@@ -298,12 +298,15 @@ def check_distance_sum_asymptotic(
 
 
 def _logderiv_ratio(chi: DirichletCharacter):
-    def f(s: complex) -> ComplexValue:
-        pt = eval_L_point(chi, s)
+    """s -> L'/L(s) with its bar, and its many-point form f.many (the walker
+    batches its first samples of each piece through it)."""
+    def ratio(pt) -> ComplexValue:
         v = pt.Lprime.value / pt.L.value
         err = (pt.Lprime.err + abs(v) * pt.L.err) / abs(pt.L.value)
         return ComplexValue(v, err)
 
+    f = lambda s: ratio(eval_L_point(chi, s))
+    f.many = lambda points: [ratio(pt) for pt in eval_L_points(chi, points)]
     return f
 
 

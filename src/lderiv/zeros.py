@@ -6,6 +6,14 @@ line segments and semicircular indentation arcs, bisecting any step whose
 phase increment exceeds pi/2 and refining wherever |f| dips toward its
 evaluation error.  Hitting the refinement floor means a zero sits on (or
 numerically on) the contour, which is reported, never guessed around.
+The initial samples of each piece go through the evaluator's many-point
+form when it has one (the L and L' evaluators here do); refinement stays
+one point at a time.
+
+Zeros of L on the critical line are the sign changes of the real function
+Z(t), sampled in one batch; a sample whose sign is not certified by its
+error bar is refused, and each sign change is refined by the Illinois
+variant of regula falsi.
 
 Indentation sides are named by direction: a "left" semicircle bulges
 toward smaller Re s, so on the left edge of a rectangle it encloses the
@@ -31,6 +39,7 @@ from .errors import (
     UniquenessViolationError,
 )
 from .lfunc import (
+    _eval_many,
     _grid_eval,
     eval_L,
     eval_L_point,
@@ -238,20 +247,25 @@ def arg_variation(
 ) -> float:
     """Continuous variation of arg f along the contour, in radians.
 
-    mesh scales the initial sampling density (0.5 = twice as dense).
-    Raises BoundaryZeroError when refinement cannot separate f from 0.
+    mesh scales the initial sampling density (0.5 = twice as dense).  When
+    f has a many-point form f.many(points), each piece's initial samples go
+    through it in one call.  Raises BoundaryZeroError when refinement cannot
+    separate f from 0.
     """
     pieces = contour.pieces() if isinstance(contour, Contour) else list(contour)
+    many = getattr(f, "many", None)
     total = 0.0
     evals = 0
 
-    def get(piece, u):
+    def spend(n: int) -> None:
         nonlocal evals
-        evals += 1
+        evals += n
         if evals > _MAX_EVALS:
             raise NumericalError("argument walker exceeded its evaluation budget")
-        v, e = _as_val(f(piece.point(u)))
-        return v, e
+
+    def get(piece, u):
+        spend(1)
+        return _as_val(f(piece.point(u)))
 
     for piece in pieces:
         length = piece.length
@@ -262,7 +276,11 @@ def arg_variation(
         else:
             n0 = max(2, int(length / (0.35 * mesh)) + 1)
         us = [i / n0 for i in range(n0 + 1)]
-        vals = [get(piece, u) for u in us]
+        if many is None:
+            vals = [get(piece, u) for u in us]
+        else:
+            spend(len(us))
+            vals = [_as_val(v) for v in many([piece.point(u) for u in us])]
         stack = list(zip(us[:-1], vals[:-1], us[1:], vals[1:]))
         min_du = 1e-11
         while stack:
@@ -351,9 +369,14 @@ def _certify_disk(f, center: complex, r0: float, mult: int) -> float:
 
 
 def _evaluator(chi: DirichletCharacter, which: Which):
+    """s -> L or L' at s, with its many-point form f.many(points)."""
     if which == "L":
-        return lambda s: eval_L(chi, s)
-    return lambda s: eval_Lprime(chi, s)
+        f = lambda s: eval_L(chi, s)
+    else:
+        f = lambda s: eval_Lprime(chi, s)
+    derivs = (which != "L",)
+    f.many = lambda points: [v for (v,) in _eval_many(chi, points, derivs)]
+    return f
 
 
 # ----------------------------------------------------------------------
@@ -520,41 +543,67 @@ def critical_line_zeros(chi: DirichletCharacter, T: float, spacing: float = 0.02
 
     Uses the real-valued rotated completed function
       Z(t) = Re[ e^(-i arg(eps)/2) (q/pi)^((s+kappa)/2) Gamma((s+kappa)/2) L(s) ],
-    whose sign changes are exactly the on-line zeros (odd order).
+    whose sign changes are exactly the on-line zeros (odd order).  Z is
+    sampled every `spacing` (the samples' L values in one batch), and each
+    sample must clear ten times its error bar |g| L.err, or the sign it
+    shows is not certified and InconclusiveBoundaryError is raised.  Each
+    sign change is refined by _illinois.
     """
     omega = cmath.phase(chi.data.epsilon.value) / 2.0
+    rot = cmath.exp(-1j * omega)
 
-    def zfun(t: float) -> float:
+    def zval(t: float, L: ComplexValue) -> tuple[float, float]:
+        """Z(t) from L(1/2 + it), and the bar |g| L.err of Z."""
         s = 0.5 + 1j * t
         g = cmath.exp(
             ((s + chi.kappa) / 2.0) * math.log(chi.q / math.pi) + log_gamma((s + chi.kappa) / 2.0)
         )
-        v = cmath.exp(-1j * omega) * g * eval_L(chi, s).value
-        return v.real
+        return (rot * g * L.value).real, abs(g) * L.err
 
-    ts = np.arange(-T, T + spacing / 2, spacing)
-    svals = np.array([zfun(float(t)) for t in ts])
-    zeros = []
-    for i in range(len(ts) - 1):
-        a, b = svals[i], svals[i + 1]
-        if a == 0.0:
-            zeros.append(float(ts[i]))
-            continue
-        if a * b < 0.0:
-            lo, hi = float(ts[i]), float(ts[i + 1])
-            flo = a
-            for _ in range(52):
-                mid = 0.5 * (lo + hi)
-                fm = zfun(mid)
-                if fm == 0.0:
-                    lo = hi = mid
-                    break
-                if (fm > 0) == (flo > 0):
-                    lo, flo = mid, fm
-                else:
-                    hi = mid
-            zeros.append(0.5 * (lo + hi))
-    return zeros
+    ts = [float(t) for t in np.arange(-T, T + spacing / 2, spacing)]
+    Ls = _eval_many(chi, [0.5 + 1j * t for t in ts], (False,))
+    zs = []
+    for t, (L,) in zip(ts, Ls):
+        z, bar = zval(t, L)
+        if not abs(z) > 10.0 * bar:
+            raise InconclusiveBoundaryError(
+                f"Z({t}) = {z:.3e} does not clear its error bar {bar:.3e}: sign not certified"
+            )
+        zs.append(z)
+    zfun = lambda t: zval(t, eval_L(chi, 0.5 + 1j * t))[0]
+    return [_illinois(zfun, ts[i], zs[i], ts[i + 1], zs[i + 1])
+            for i in range(len(ts) - 1) if zs[i] * zs[i + 1] < 0.0]
+
+
+def _illinois(f: Callable[[float], float], lo: float, flo: float, hi: float, fhi: float) -> float:
+    """A sign change of f in [lo, hi], where f(lo) = flo and f(hi) = fhi have
+    opposite signs, by the Illinois variant of regula falsi: the bracket
+    keeps a sign change and shrinks to width <= 1e-12 (1 + |lo|); returns its
+    midpoint, or a point where f is exactly 0.  When the same end moves
+    twice running, the value kept at the other end is halved, which keeps
+    both ends moving (superlinear: about 5 evaluations a zero on Z)."""
+    side = 0  # -1 when lo moved last, +1 when hi did
+    for _ in range(200):
+        tol = 1e-12 * (1.0 + abs(lo))
+        if hi - lo <= tol:
+            return 0.5 * (lo + hi)
+        # at least tol/2 inside the bracket: an end that sits on the zero
+        # then gets a partner within tol/2 instead of creeping up on it
+        x = min(max(hi - fhi * (hi - lo) / (fhi - flo), lo + 0.5 * tol), hi - 0.5 * tol)
+        fx = f(x)
+        if fx == 0.0:
+            return x
+        if (fx > 0.0) == (flo > 0.0):
+            lo, flo = x, fx
+            if side == -1:
+                fhi *= 0.5
+            side = -1
+        else:
+            hi, fhi = x, fx
+            if side == 1:
+                flo *= 0.5
+            side = 1
+    raise NumericalError(f"critical-line refinement did not converge on [{lo}, {hi}]")
 
 
 def count_strip_detailed(

@@ -227,7 +227,6 @@ def test_conjugate_character(chi7_complex):
 def test_conjugate_and_kronecker_return_the_enumerated_object():
     # enumerate_primitive builds each character once; the others look it up
     for q in list(range(3, 51)) + [229]:
-        # one modulus at a time: the enumeration's cache holds 32 moduli
         chars = ch.enumerate_primitive(q)
         if q == 229:
             chars = [next(c for c in chars if c.order > 2)]
@@ -237,6 +236,16 @@ def test_conjugate_and_kronecker_return_the_enumerated_object():
     for d, _ in _FUNDAMENTAL:
         chi = ch.kronecker_character(d)
         assert chi is ch.from_label(abs(d), chi.label), d
+
+
+def test_a_character_stays_one_object_after_many_moduli():
+    first = ch.from_label(7, 1)
+    for q in range(3, 61):
+        ch.enumerate_primitive(q)
+    assert ch.from_label(7, 1) is first
+    assert ch.enumerate_primitive(7)[1] is first
+    ch.enumerate_primitive.cache_clear()
+    assert ch.from_label(7, 1) is first and ch.from_label(7, 1).conjugate().conjugate() is first
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """CLI surface: output schemas, round-trips, exit codes."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -104,6 +105,21 @@ def test_verify_csv_identical_across_interpreters():
     outs = [subprocess.run(argv, env=env, capture_output=True, check=True, timeout=300).stdout
             for _ in range(2)]
     assert outs[0] and outs[0] == outs[1]
+
+
+def test_verify_report_bytes_are_pinned(capsys):
+    """sha256 of the CSV of two verify runs: the whole of verify all for
+    chi_5, and the Speiser check (a strip count of L, critical-line zeros and
+    the L'/L winding) for a character mod 229.  Evaluation and walker changes
+    that claim to keep every report byte are held to it here."""
+    for argv, digest in (
+        (("verify", "all", "--q", "5", "--label", "1", "--T", "10", "--csv"),
+         "1407236cdd069d447edc3f5e6f7e9d9ee35cfd488b1ceb011458423d47f2ddbf"),
+        (("verify", "speiser", "--q", "229", "--label", "113", "--T", "20", "--csv"),
+         "d7c9316479886364bb5836c294a3331bb55aa30e1c89a1902d4d42b8f5b45ea1"),
+    ):
+        code, out = run_cli(capsys, *argv)
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
 def test_runtime_never_loads_scipy():

@@ -538,3 +538,135 @@ def test_grid_values_do_not_depend_on_the_product_around_them(chi5, chi7_complex
                 for k in checked:
                     v, e = lf._grid_eval(chi, pts[k:k + 1], deriv)
                     assert abs(vals[k] - v[0]) <= errs[k] + e[0], (chi.q, deriv, pts[k])
+
+
+# ----------------------------------------------------------------------
+# the many-point form of the auto route against the scalar calls it batches
+
+def _scalar_loop(chi, points, derivs):
+    """The calls _eval_many replaces: eval_L_point for the pair, else _eval."""
+    if derivs == lf._PAIR:
+        return [(pt.L, pt.Lprime) for pt in (lf.eval_L_point(chi, s) for s in points)]
+    return [(lf._eval(chi, s, derivs[0], "auto"),) for s in points]
+
+
+def _cache_bits():
+    return [(key, _bits(val)) for key, val in lf._POINT_CACHE.items()]
+
+
+def _warm(chi, points):
+    """A cold cache, then L alone at every third point and L' alone at the
+    next, so that a batch meets points with only one value cached."""
+    lf.clear_cache()
+    for s in points[::3]:
+        lf.eval_L(chi, s)
+    for s in points[1::3]:
+        lf.eval_Lprime(chi, s)
+
+
+def _batch_points(chi):
+    # every route band of _pair_points, a D1-like band of the functional
+    # equation next to the Hurwitz band, and every fifth point again
+    pts = _pair_points(chi) + lattice_points(12, (-3.0, 0.5), (-40.0, 40.0))
+    return pts + pts[::5], len(pts)
+
+
+def _assert_batch_matches(chi, points, derivs, warm):
+    """_eval_many against the scalar loop from the same cache: values and
+    bars by bytes, and the point cache's keys, values and order."""
+    (_warm if warm else lambda chi, pts: lf.clear_cache())(chi, points)
+    want = _scalar_loop(chi, points, derivs)
+    want_cache = _cache_bits()
+    (_warm if warm else lambda chi, pts: lf.clear_cache())(chi, points)
+    got = lf._eval_many(chi, points, derivs)
+    assert [[_bits(v) for v in row] for row in got] == \
+        [[_bits(v) for v in row] for row in want], (chi.q, derivs, warm)
+    assert _cache_bits() == want_cache, (chi.q, derivs, warm)
+    return got
+
+
+@pytest.fixture(scope="module")
+def batch_chars(chi5, chi7_complex, chi229):
+    chi49 = next(c for c in ch.enumerate_primitive(49) if c.order == 42)
+    return (chi5, chi7_complex, chi49, chi229)
+
+
+def test_eval_many_equals_the_scalar_calls(batch_chars):
+    fe_inner = {True: 0, False: 0}  # functional-equation points by inner route
+    split = 0
+    for chi in batch_chars:
+        pts, n = _batch_points(chi)
+        for s in pts:
+            if s.real < 0.0:
+                for series, _ in lf._upper_parts(chi.data.conj, 1.0 - s, lf._PAIR):
+                    fe_inner[series] += 1
+            split += _one_cutoff_only(chi, s)
+        for derivs in (lf._PAIR, (False,), (True,)):
+            for warm in (False, True):
+                got = _assert_batch_matches(chi, pts, derivs, warm)
+                # a repeated point gets the first one's objects, as a cache hit would
+                assert all(x is y for a, b in zip(got[n:], got[:n:5]) for x, y in zip(a, b))
+    assert min(fe_inner.values()) >= 10 and split >= 5
+    lf.clear_cache()
+
+
+def test_eval_many_chunks_keep_the_bytes(chi5, chi229, monkeypatch):
+    from lderiv import special as sp
+
+    shapes = []
+    engine = sp._em_eval
+
+    def recording(s, a, N, K, want_ds):
+        if isinstance(s, np.ndarray):  # a batch chunk, not a scalar call
+            shapes.append((len(s), len(a), N))
+        return engine(s, a, N, K, want_ds)
+
+    monkeypatch.setattr(sp, "_em_eval", recording)
+    for chi in (chi5, chi229):
+        pts, _ = _batch_points(chi)
+        # chunks of 1, 2 and 7 points at the commonest (N, K) = (20, 6), and
+        # the default cap
+        for entries in (1, 2 * 20 * (chi.q - 1) + 1, 7 * 20 * (chi.q - 1), sp._BATCH_ENTRIES):
+            monkeypatch.setattr(sp, "_BATCH_ENTRIES", entries)
+            shapes.clear()
+            _assert_batch_matches(chi, pts, lf._PAIR, warm=False)
+            assert shapes and all(C * A * N <= entries or C == 1 for C, A, N in shapes)
+            if entries > 1:
+                assert any(C > 1 for C, _, _ in shapes)
+    lf.clear_cache()
+
+
+def test_eval_many_blocks_keep_the_bytes(chi7_complex, chi229, monkeypatch):
+    # blocks of 7 points: repeats and half-cached points across blocks
+    monkeypatch.setattr(lf, "_MANY_BLOCK", 7)
+    for chi in (chi7_complex, chi229):
+        pts, _ = _batch_points(chi)
+        for derivs in (lf._PAIR, (True,)):
+            _assert_batch_matches(chi, pts, derivs, warm=True)
+    lf.clear_cache()
+
+
+def test_eval_L_points_equals_eval_L_point(chi7_complex):
+    pts, _ = _batch_points(chi7_complex)
+    lf.clear_cache()
+    want = [lf.eval_L_point(chi7_complex, s) for s in pts]
+    lf.clear_cache()
+    got = lf.eval_L_points(chi7_complex, pts)
+    for a, b in zip(got, want):
+        assert (a.s, _bits(a.L), _bits(a.Lprime), a.err) == (b.s, _bits(b.L), _bits(b.Lprime), b.err)
+        assert (a.logderiv is None) == (b.logderiv is None)
+        if a.logderiv is not None:
+            assert _bits(a.logderiv) == _bits(b.logderiv)
+    lf.clear_cache()
+
+
+def test_eval_many_refuses_what_the_scalar_calls_refuse(chi5):
+    # the first refused point in order decides the error, as in a loop
+    for pts, err in (([0.5 + 1j, 1.0 + 0j, 90.0 + 0j], PoleError),
+                     ([0.5 + 1j, 90.0 + 0j, 1.0 + 0j], PrecisionLossError)):
+        lf.clear_cache()
+        with pytest.raises(err):
+            lf._eval_many(chi5, pts, lf._PAIR)
+        with pytest.raises(err):
+            [lf.eval_L_point(chi5, s) for s in pts]
+    lf.clear_cache()

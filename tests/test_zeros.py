@@ -1,5 +1,6 @@
 """Argument-principle counting, zero location, and the strip statistics."""
 
+import cmath
 import math
 
 import numpy as np
@@ -8,7 +9,15 @@ import pytest
 from lderiv import characters as ch
 from lderiv import lfunc as lf
 from lderiv import zeros as zr
-from lderiv.errors import BoundaryZeroError, DomainError, PrecisionLossError
+from lderiv.errors import (
+    BoundaryZeroError,
+    DomainError,
+    InconclusiveBoundaryError,
+    NumericalError,
+    PrecisionLossError,
+)
+from lderiv.numtypes import ComplexValue
+from lderiv.special import log_gamma
 from tests.test_special import _ref_hurwitz_grid
 
 
@@ -251,6 +260,124 @@ def test_list_zeros_sum_matches_oracle(chi5):
     s_list = sum((r.location.real - 0.5) * r.multiplicity for r in recs)
     s_oracle = sum(z.real - 0.5 for z in zr.grid_zero_scan(chi5, 10.0))
     assert abs(s_list - s_oracle) < 1e-6
+
+
+def _ref_critical_line_zeros(chi, T, spacing=0.02):
+    """critical_line_zeros with 52 bisections a sign change, as it was before
+    the Illinois refinement (verbatim bar the module prefixes)."""
+    omega = cmath.phase(chi.data.epsilon.value) / 2.0
+
+    def zfun(t: float) -> float:
+        s = 0.5 + 1j * t
+        g = cmath.exp(
+            ((s + chi.kappa) / 2.0) * math.log(chi.q / math.pi) + log_gamma((s + chi.kappa) / 2.0)
+        )
+        v = cmath.exp(-1j * omega) * g * lf.eval_L(chi, s).value
+        return v.real
+
+    ts = np.arange(-T, T + spacing / 2, spacing)
+    svals = np.array([zfun(float(t)) for t in ts])
+    zeros = []
+    for i in range(len(ts) - 1):
+        a, b = svals[i], svals[i + 1]
+        if a == 0.0:
+            zeros.append(float(ts[i]))
+            continue
+        if a * b < 0.0:
+            lo, hi = float(ts[i]), float(ts[i + 1])
+            flo = a
+            for _ in range(52):
+                mid = 0.5 * (lo + hi)
+                fm = zfun(mid)
+                if fm == 0.0:
+                    lo = hi = mid
+                    break
+                if (fm > 0) == (flo > 0):
+                    lo, flo = mid, fm
+                else:
+                    hi = mid
+            zeros.append(0.5 * (lo + hi))
+    return zeros
+
+
+def test_critical_line_refinement_matches_the_bisection(chi5, chi7_complex, chi229, monkeypatch):
+    T = 20.02
+    ts = np.arange(-T, T + 0.01, 0.02)
+    fresh = []
+    scalar = zr.eval_L
+
+    def counting(chi, s, route="auto"):
+        fresh.append((chi.q, chi.label, complex(s), False) not in lf._POINT_CACHE)
+        return scalar(chi, s, route)
+
+    for chi in (chi5, chi7_complex, chi229):
+        lf.clear_cache()
+        want = _ref_critical_line_zeros(chi, T)
+        lf.clear_cache()
+        fresh.clear()
+        monkeypatch.setattr(zr, "eval_L", counting)
+        got = zr.critical_line_zeros(chi, T)
+        monkeypatch.undo()
+        assert len(got) == len(want) > 10, chi.q
+        for g, w in zip(got, want):
+            i = int(np.searchsorted(ts, w)) - 1  # the sign change's bracket
+            assert ts[i] < g < ts[i + 1] and abs(g - w) <= 1e-11, (chi.q, g, w)
+        assert sum(fresh) <= 10 * len(got), (chi.q, sum(fresh), len(got))
+    lf.clear_cache()
+
+
+def test_illinois_on_a_sign_change():
+    # a simple zero takes a few steps; a triple one (flat, slow for regula
+    # falsi) more, and both end within the bracket's width of the zero
+    for power, most in ((1, 12), (3, 199)):
+        f = lambda t: math.tanh(5.0 * (t - 0.7)) ** power
+        calls = []
+        got = zr._illinois(lambda t: calls.append(t) or f(t), 0.0, f(0.0), 1.5, f(1.5))
+        assert abs(got - 0.7) <= 1e-12 * 1.7 and len(calls) <= most, (power, len(calls))
+    assert zr._illinois(lambda t: t - 0.25, 0.0, -0.25, 1.0, 0.75) == 0.25  # an exact zero
+
+
+def test_walker_first_samples_through_the_many_point_form(chi5, chi229, monkeypatch):
+    """The walker's first samples of each piece through f.many give the same
+    variation and the same point cache as one call per sample, and count
+    against the same budget."""
+    from lderiv.verify import _logderiv_ratio
+    from tests.test_lfunc import _cache_bits
+
+    box = zr.rectangle(-1.5, 3.0, -6.0, 6.0)  # the fe, Hurwitz and series routes
+    for chi in (chi5, chi229):
+        for f, contour in ((zr._evaluator(chi, "L"), box), (zr._evaluator(chi, "Lprime"), box),
+                           (_logderiv_ratio(chi), zr.rectangle(1.2, 3.0, -6.0, 6.0))):
+            runs = []
+            for g in (f, lambda s: f(s)):  # the second has no many-point form
+                lf.clear_cache()
+                runs.append((zr.arg_variation(g, contour), _cache_bits()))
+            assert runs[0] == runs[1], chi.q
+    monkeypatch.setattr(zr, "_MAX_EVALS", 10)
+    f = zr._evaluator(chi5, "L")
+    for g in (f, lambda s: f(s)):
+        with pytest.raises(NumericalError, match="budget"):
+            zr.arg_variation(g, box)
+    lf.clear_cache()
+
+
+def test_critical_line_samples_must_clear_their_bars(chi5, monkeypatch):
+    """A sample whose |Z| is within ten error bars shows no certified sign:
+    refused, never read as a sign or as an exact zero."""
+    real = zr._eval_many
+
+    for hit in (lambda L: ComplexValue(L.value, abs(L.value)),  # |Z| = |g| L.err < 10 bars
+                lambda L: ComplexValue(0j, 0.0)):  # an exact zero
+        def injected(chi, points, derivs):
+            out = real(chi, points, derivs)
+            out[100] = (hit(out[100][0]),)
+            return out
+
+        monkeypatch.setattr(zr, "_eval_many", injected)
+        with pytest.raises(InconclusiveBoundaryError):
+            zr.critical_line_zeros(chi5, 5.0)
+        monkeypatch.undo()
+    lf.clear_cache()
 
 
 def test_critical_line_zeros_stable_under_mesh(chi5):
