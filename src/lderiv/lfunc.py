@@ -21,24 +21,21 @@ cross-check the two routes on the overlap band where both are accurate.
 Every route can be forced explicitly (route="series" | "hurwitz" | "fe")
 so dual-route comparisons never silently collapse into one code path.
 
-L and L' at the same point come from one pass of a route: one
-Euler-Maclaurin engine call (whose d/ds pass yields L bit for bit), one
-array of Dirichlet-series terms summed to each value's own cutoff, or one
-F(s) with one L(1-s), L'(1-s) pair.  eval_L_point and the log-derivative
-use the pair, and so does L' alone on the functional-equation route.  The
-values are byte-identical to separate evaluations, and the point cache
-holds the same keys: one per value asked for, none for the inner L(1-s).
-
-Many points at once (eval_L_points, and _eval_many behind it) take the
-auto route's values through one batch: each point is looked up in the
-point cache, each miss gets the scalar route choice and its own
-Euler-Maclaurin (N, K), and the Hurwitz-engine work of all the misses --
-the Hurwitz route and the functional equation's inner L(1-s), L'(1-s) --
-goes through the engine in one call per chunk of points that share
-(N, K).  The series route and F(s) stay one call per point.  The values,
-error bars and point-cache keys are the scalar calls' bit for bit: the
-error-bar arithmetic after the engine (special._em_errs, _hurwitz_values,
-_fe_values) is one body for both.
+Every value goes through one planner, _eval_block (behind _eval_many),
+with the route as its parameter: eval_L and eval_Lprime are one-point
+calls of it, eval_L_point and eval_L_points its pair form.  On the auto
+route each point is looked up in the point cache, and the values not
+cached are evaluated and cached under their own (q, label, s, deriv) keys;
+a forced route touches no cache.  L and L' at the same point come from
+one pass of a route: one Euler-Maclaurin engine result (whose d/ds pass
+yields L bit for bit), one array of Dirichlet-series terms summed to each
+value's own cutoff, or one F(s) with one L(1-s), L'(1-s) pair, which is
+not cached.  The Hurwitz-engine work of a block of points -- the Hurwitz
+route and the functional equation's inner L(1-s), L'(1-s) -- goes through
+the engine in one call per chunk of points that share (N, K) (one point
+alone takes the engine's scalar form); the series route and F(s) stay one
+call per point.  Every value and bar is the same bytes however the points
+are batched.
 
 eval_L_grid and eval_Lprime_grid serve arrays of points with Re s > 0 (the
 zero oracle's grids) outside the point cache: one special.hurwitz_grid call
@@ -61,7 +58,6 @@ from .numtypes import ComplexValue
 from .special import (
     _digamma,
     _em_params,
-    _hurwitz_core,
     _hurwitz_core_many,
     hurwitz_grid,
     log_gamma,
@@ -147,6 +143,8 @@ def _cache_put(key, val):
 
 
 def _check_window(chi: DirichletCharacter, s: complex) -> None:
+    if not cmath.isfinite(s):
+        raise DomainError(f"point s={s} is not finite")
     if chi.q > Q_MAX or abs(s.real) > SIGMA_MAX or abs(s.imag) > T_MAX:
         raise PrecisionLossError(
             f"point s={s}, q={chi.q} outside the supported window", math.inf
@@ -213,22 +211,13 @@ def _eval_series(chi: DirichletCharacter, s: complex, derivs: tuple) -> tuple:
 
 
 # ----------------------------------------------------------------------
-# Hurwitz route (0 <= Re s < 2, also used on 1 < Re(1-s) < 2 by the FE route)
-
-def _eval_hurwitz(chi: DirichletCharacter, s: complex, derivs: tuple) -> tuple:
-    """q^(-s) sum_a chi(a) zeta(s, a/q), differentiated termwise for True.
-
-    One value per entry of derivs, all from one engine pass: the pass that
-    yields d/ds yields the undifferentiated values and bars bit for bit.
-    """
-    vals, dvals, errs, errs_ds, _rem = _hurwitz_core(s, chi.data.residues, True in derivs, 1e-13)
-    return _hurwitz_values(chi, s, derivs, vals, dvals, errs, errs_ds)
-
+# Hurwitz route: q^(-s) sum_a chi(a) zeta(s, a/q), differentiated termwise
 
 def _hurwitz_values(chi: DirichletCharacter, s: complex, derivs: tuple,
                     vals, dvals, errs, errs_ds) -> tuple:
-    """The route's values and bars from one engine result at s (the scalar
-    call's or one row of a batch)."""
+    """The route's values and bars at s, one per entry of derivs, from one
+    engine result: the pass that yields d/ds yields the undifferentiated
+    values and bars bit for bit."""
     d = chi.data
     qps = cmath.exp(-s * math.log(chi.q))
     zsum = complex(np.dot(d.weights, vals))
@@ -314,24 +303,17 @@ def eval_F(chi: DirichletCharacter, s: complex) -> FunctionalEquationFactor:
 
 
 # ----------------------------------------------------------------------
-# the evaluators
+# the evaluators: every value comes from the block planner
 
-def _eval_upper(chi: DirichletCharacter, s: complex, derivs: tuple) -> tuple:
-    """Route for Re s >= 1: series when affordable, else Hurwitz.
+def _upper_parts(chi: DirichletCharacter, s: complex, derivs: tuple) -> list:
+    """The upper route's passes at s (Re s >= 1) as (by series, their derivs),
+    in derivs order: series when affordable, else Hurwitz.
 
     The Euler-Maclaurin route is both cheaper and tighter once the certified
     series truncation would exceed ~50k terms (sigma near 2 with |s| large).
     The choice is made per entry of derivs (L' needs more terms than L);
     entries that share a route share one pass.
     """
-    out = ()
-    for series, part in _upper_parts(chi, s, derivs):
-        out += (_eval_series if series else _eval_hurwitz)(chi, s, part)
-    return out
-
-
-def _upper_parts(chi: DirichletCharacter, s: complex, derivs: tuple) -> list:
-    """_eval_upper's passes at s as (by series, their derivs), in derivs order."""
     by_series = [
         s.real >= 2.0 and _series_cutoff(chi, s, deriv, 3e-10) <= 50_000 for deriv in derivs
     ]
@@ -341,22 +323,10 @@ def _upper_parts(chi: DirichletCharacter, s: complex, derivs: tuple) -> list:
     return [(series, (deriv,)) for series, deriv in zip(by_series, derivs)]
 
 
-def _eval_fe(chi: DirichletCharacter, s: complex, derivs: tuple) -> tuple:
-    """F(s) L(1-s, conj chi) and its derivative F' L(1-s) - F L'(1-s); one
-    F and one pass at 1-s serve every entry of derivs."""
-    F, Fp, _ = _F_pieces(chi, s)
-    inner = _eval_upper(chi.data.conj, 1.0 - s, _fe_inner(derivs))
-    return _fe_values(F, Fp, inner, derivs)
-
-
-def _fe_inner(derivs: tuple) -> tuple:
-    """The derivs of the functional equation's pass at 1 - s."""
-    return _PAIR if True in derivs else (False,)
-
-
 def _fe_values(F: ComplexValue, Fp: ComplexValue, inner: tuple, derivs: tuple) -> tuple:
-    """The functional equation's values and bars from F, F' at s and the
-    pass (L, [L']) at 1 - s."""
+    """The functional equation's values and bars: F(s) L(1-s, conj chi) and
+    its derivative F' L(1-s) - F L'(1-s), from F, F' at s and the pass
+    (L, [L']) at 1 - s."""
     L2 = inner[0]
     out = []
     for deriv in derivs:
@@ -376,127 +346,117 @@ def _fe_values(F: ComplexValue, Fp: ComplexValue, inner: tuple, derivs: tuple) -
     return tuple(out)
 
 
-def _auto_route(s: complex) -> str:
-    """The auto route at s: "fe" below Re s = 0, "upper" from Re s = 2 on,
-    "hurwitz" between."""
-    return "fe" if s.real < 0.0 else "upper" if s.real >= 2.0 else "hurwitz"
+_ROUTES = ("series", "hurwitz", "fe")  # the routes a caller may force
 
 
-def _eval(chi: DirichletCharacter, s: complex, deriv, route: str):
-    """L (deriv False) or L' (deriv True) as a ComplexValue, or with deriv
-    _PAIR the tuple (L, L') from one pass of the route.  On the auto route
-    each value is cached under its own (q, label, s, deriv) key; a pair is
-    not looked up (eval_L_point asks for one only when neither is cached)."""
-    s = complex(s)
-    _check_window(chi, s)
-    pair = deriv == _PAIR
-    if route == "auto" and not pair:
-        key = _cache_key(chi, s, deriv)
-        if key in _POINT_CACHE:
-            return _POINT_CACHE[key]
-    derivs = deriv if pair else (deriv,)
-    if route == "auto":
-        auto = _auto_route(s)
-        if auto == "fe":
-            out = _eval_fe(chi, s, derivs)
-        elif auto == "upper":
-            out = _eval_upper(chi, s, derivs)
-        else:
-            out = _eval_hurwitz(chi, s, derivs)
-    elif route == "series":
-        out = _eval_series(chi, s, derivs)
-    elif route == "hurwitz":
-        out = _eval_hurwitz(chi, s, derivs)
-    elif route == "fe":
-        out = _eval_fe(chi, s, derivs)
-    else:
-        raise DomainError(f"unknown route {route!r}")
-    # Near deep zeros the value can sit far below its own error bar (the
-    # functional-equation terms cancel); consumers decide via .err, so no
-    # hard raise here -- the winding walker and Newton are both err-aware.
-    if route == "auto":
-        for d, val in zip(derivs, out):
-            _cache_put(_cache_key(chi, s, d), val)
-    return out if pair else out[0]
+def _leaf(leaves: list, chi: DirichletCharacter, s: complex, derivs: tuple) -> int:
+    """Defer a Hurwitz pass at s to leaves, with the engine's (N, K, rem)
+    for it: its index.  1/q is the smallest residue a/q (a = 1)."""
+    leaves.append((chi, s, derivs, _em_params(s, 1.0 / chi.q, 1e-13)))
+    return len(leaves) - 1
+
+
+def _upper(leaves: list, chi: DirichletCharacter, s: complex, derivs: tuple) -> list:
+    """The upper route's passes at s: a value tuple or a leaf index each."""
+    return [_eval_series(chi, s, part) if series else _leaf(leaves, chi, s, part)
+            for series, part in _upper_parts(chi, s, derivs)]
+
+
+def _plan(leaves: list, chi: DirichletCharacter, s: complex, derivs: tuple, route: str):
+    """(F, F') at s or None, and the route's passes at s (see _upper)."""
+    if route == "fe":  # L' needs the pass at 1 - s to yield L and L'
+        F, Fp, _ = _F_pieces(chi, s)
+        inner = _PAIR if True in derivs else (False,)
+        return (F, Fp), _upper(leaves, chi.data.conj, 1.0 - s, inner)
+    if route == "upper":
+        return None, _upper(leaves, chi, s, derivs)
+    if route == "hurwitz":
+        return None, [_leaf(leaves, chi, s, derivs)]
+    return None, [_eval_series(chi, s, derivs)]
+
+
+def _eval(chi: DirichletCharacter, s: complex, deriv: bool, route: str) -> ComplexValue:
+    """L (deriv False) or L' (deriv True) at s on the route: _eval_many at
+    one point."""
+    return _eval_many(chi, [s], (deriv,), route)[0][0]
 
 
 _MANY_BLOCK = 512  # points per batch: bounds a batch's transient objects
 
 
-def _eval_many(chi: DirichletCharacter, points, derivs: tuple) -> list:
-    """_eval on the auto route at each of the points: one tuple per point
-    holding one ComplexValue per entry of derivs, bit for bit the scalar
-    calls.  Cached values are returned as they are; at every other point the
-    derivs not cached are evaluated in one pass, as eval_L_point does, and
-    cached under the keys the scalar calls write, in the same order.  The
-    points go _MANY_BLOCK at a time through _eval_block."""
+def _eval_many(chi: DirichletCharacter, points, derivs: tuple, route: str = "auto",
+               window: bool = True) -> list:
+    """L and L' at each of the points on the route: one tuple per point
+    holding one ComplexValue per entry of derivs (False for L, True for L').
+    The points go _MANY_BLOCK at a time through _eval_block; the values are
+    the same bytes whatever the block."""
     points = [complex(s) for s in points]
     out: list = []
     for start in range(0, len(points), _MANY_BLOCK):
-        out += _eval_block(chi, points[start:start + _MANY_BLOCK], derivs)
+        out += _eval_block(chi, points[start:start + _MANY_BLOCK], derivs, route, window)
     return out
 
 
-def _eval_block(chi: DirichletCharacter, points: list, derivs: tuple) -> list:
-    """_eval_many on one block of complex points.  The Hurwitz-engine work of
-    its passes -- the Hurwitz route and the functional equation's inner
-    L(1-s), L'(1-s) -- goes through special._hurwitz_core_many, one engine
-    call per chunk of points that share (N, K); the series route and F(s)
-    stay scalar.  A point that the scalar calls would refuse raises the same
-    error, the first in order."""
+def _eval_block(chi: DirichletCharacter, points: list, derivs: tuple, route: str,
+                window: bool) -> list:
+    """_eval_many on one block of complex points: the one code that turns
+    points into values.  Route "auto" looks each value up in the point
+    cache, plans the rest of the point on the functional equation below
+    Re s = 0, the upper route (_upper_parts) from Re s = 2 on and Hurwitz
+    between, and caches what it evaluates; the _ROUTES plan every point on
+    that route and touch no cache.  window False skips the window check and
+    admits "upper" too (eval_logderiv_via_fteq's pair at 1 - s).  The
+    Hurwitz passes go through special._hurwitz_core_many together.  Points
+    are checked and planned in order, so the first one refused raises:
+    outside the window, an unknown route, or its route's own refusal."""
     got: dict = {}  # (s, deriv) -> value, for the answer
-    todo: dict = {}  # s -> (derivs to evaluate, parts, (F, F') or None)
-    leaves: list = []  # (character, point, derivs) of each Hurwitz pass
-    params: list = []  # the engine's (N, K, rem) of each leaf
-    a_min = float(chi.data.residues.min())  # conj chi has the same residues a/q
-
-    def leaf(c, z, ds):  # a Hurwitz pass, deferred: its index
-        params.append(_em_params(z, a_min, 1e-13))
-        leaves.append((c, z, ds))
-        return len(leaves) - 1
-
-    def upper(c, z, ds):  # _eval_upper's passes: a value tuple, or a leaf index
-        return [_eval_series(c, z, part) if series else leaf(c, z, part)
-                for series, part in _upper_parts(c, z, ds)]
-
+    todo: dict = {}  # s -> (derivs to evaluate, (F, F') or None, passes)
+    leaves: list = []  # (character, point, derivs, (N, K, rem)) of each Hurwitz pass
+    auto = route == "auto"
     for s in points:
-        _check_window(chi, s)
+        if window:
+            _check_window(chi, s)
         if s in todo:
             continue
-        need = []
-        for d in derivs:
-            key = _cache_key(chi, s, d)
-            if key in _POINT_CACHE:
-                got[s, d] = _POINT_CACHE[key]
-            else:
-                need.append(d)
-        if not need:
-            continue
-        need = tuple(need)
-        route = _auto_route(s)
-        if route == "fe":
-            F, Fp, _ = _F_pieces(chi, s)
-            todo[s] = (need, upper(chi.data.conj, 1.0 - s, _fe_inner(need)), (F, Fp))
-        elif route == "upper":
-            todo[s] = (need, upper(chi, s, need), None)
-        else:
-            todo[s] = (need, [leaf(chi, s, need)], None)
+        need, r = derivs, route
+        if auto:
+            need = []
+            for d in derivs:
+                key = _cache_key(chi, s, d)
+                if key in _POINT_CACHE:
+                    got[s, d] = _POINT_CACHE[key]
+                else:
+                    need.append(d)
+            if not need:
+                continue
+            need = tuple(need)
+            r = "fe" if s.real < 0.0 else "upper" if s.real >= 2.0 else "hurwitz"
+        elif r not in _ROUTES and (window or r != "upper"):
+            raise DomainError(f"unknown route {route!r}")
+        todo[s] = (need,) + _plan(leaves, chi, s, need, r)
 
     results = [None] * len(leaves)
-    want_ds = any(True in ds for _, _, ds in leaves)
-    core = _hurwitz_core_many([z for _, z, _ in leaves], params, chi.data.residues, want_ds)
-    for i, (vals, dvals, errs, errs_ds) in core:
-        c, z, ds = leaves[i]
-        results[i] = _hurwitz_values(c, z, ds, vals, dvals, errs, errs_ds)
+    if leaves:
+        want_ds = any(True in ds for _, _, ds, _ in leaves)
+        core = _hurwitz_core_many([z for _, z, _, _ in leaves], [p for *_, p in leaves],
+                                  chi.data.residues, want_ds)
+        for i, engine_out in core:
+            c, z, ds, _ = leaves[i]
+            results[i] = _hurwitz_values(c, z, ds, *engine_out)
 
-    for s, (need, parts, fe) in todo.items():
-        out = sum((results[p] if isinstance(p, int) else p for p in parts), ())
+    # Near deep zeros a value can sit far below its own bar (the functional
+    # equation's terms cancel); consumers decide via .err, so none is refused.
+    for s, (need, fe, parts) in todo.items():
+        out = ()
+        for p in parts:
+            out += results[p] if isinstance(p, int) else p
         if fe is not None:
             out = _fe_values(*fe, out, need)
         for d, val in zip(need, out):
-            _cache_put(_cache_key(chi, s, d), val)
+            if auto:
+                _cache_put(_cache_key(chi, s, d), val)
             got[s, d] = val
-    return [tuple(got[s, d] for d in derivs) for s in points]
+    return [tuple([got[s, d] for d in derivs]) for s in points]
 
 
 def eval_L(chi: DirichletCharacter, s: complex, route: str = "auto") -> ComplexValue:
@@ -510,23 +470,15 @@ def eval_Lprime(chi: DirichletCharacter, s: complex, route: str = "auto") -> Com
 
 
 def eval_L_point(chi: DirichletCharacter, s: complex) -> LPoint:
-    """L, L' and (when |L| clears the noise floor) L'/L at one point.
-
-    A cold point gets L and L' from one pass; if either is cached already,
-    each is looked up (or evaluated) on its own.
-    """
-    z = complex(s)
-    if _cache_key(chi, z, False) in _POINT_CACHE or _cache_key(chi, z, True) in _POINT_CACHE:
-        L = eval_L(chi, s)
-        Lp = eval_Lprime(chi, s)
-    else:
-        L, Lp = _eval(chi, s, _PAIR, "auto")
-    return _lpoint(s, L, Lp)
+    """L, L' and (when |L| clears the noise floor) L'/L at one point: each
+    value is looked up in the point cache, and those not cached come from
+    one pass."""
+    return eval_L_points(chi, [s])[0]
 
 
 def eval_L_points(chi: DirichletCharacter, points) -> list[LPoint]:
-    """eval_L_point at each of the points, with the same values, bars and
-    point-cache keys; the engine work is batched (see _eval_many)."""
+    """eval_L_point at each of the points, the engine work batched (see
+    _eval_block)."""
     points = list(points)
     return [_lpoint(s, L, Lp) for s, (L, Lp) in zip(points, _eval_many(chi, points, _PAIR))]
 
@@ -554,7 +506,8 @@ def eval_logderiv_via_fteq(chi: DirichletCharacter, s: complex) -> ComplexValue:
     w = cmath.pi * (s + chi.kappa) / 2.0
     if s.imag == 0.0 and abs(cmath.sin(w)) < 1e-13:
         raise PoleError(f"cot pole (trivial zero of L) at s = {s}")
-    Lb, Lbp = _eval_upper(chi.data.conj, 1.0 - s, _PAIR)
+    # the pair at 1 - s, not window-checked: Re(1 - s) exceeds 81 when Re s < -80
+    [(Lb, Lbp)] = _eval_many(chi.data.conj, [1.0 - s], _PAIR, "upper", window=False)
     ld = Lbp.value / Lb.value
     ld_err = (Lbp.err + abs(ld) * Lb.err) / abs(Lb.value)
     val = -ld - math.log(chi.q / (2.0 * math.pi)) - _digamma(1.0 - s) + (cmath.pi / 2.0) * _cot(w)

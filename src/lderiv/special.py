@@ -7,11 +7,12 @@ standard remainder bound plus a rounding estimate meets the target.  The
 candidate pairs of a point share one prefix sum of log|s + i| for the
 Pochhammer factor of that bound, so each pair costs only a few flops.  One
 engine, _em_eval, serves single points; its array form gives rows that are
-bit for bit the single-point evaluations, and _hurwitz_core_many feeds it
-many points at once, grouped by their own (N, K).  The derivative in s comes from
-termwise differentiation of the same expansion; a Cauchy-circle quadrature
-of the undifferentiated routine is kept as an independent cross-check of
-that route.
+bit for bit the single-point evaluations.  _hurwitz_core_many feeds it the
+points of a batch grouped by their own (N, K), a lone point in the scalar
+form, and turns its output into error bars; _hurwitz_core is its one-point
+call.  The derivative in s comes from termwise differentiation of the same
+expansion; a Cauchy-circle quadrature of the undifferentiated routine is
+kept as an independent cross-check of that route.
 
 The grids of the zero scans go through hurwitz_grid, which evaluates
 sum_m f(m) m^-s for q-periodic f on a product of real parts sigma and
@@ -355,9 +356,8 @@ def _hurwitz_core(s: complex, a: np.ndarray, want_ds: bool, tol: float):
     if s != 1.0 and (np.any(a <= 0.0) or np.any(a > 1.0)):  # the pole is reported first
         raise DomainError("shift parameter a must lie in (0, 1]")
     N, K, rem = _em_params(s, float(a.min()), tol)
-    vals, dvals, absacc = _em_eval(s, a, N, K, want_ds)
-    errs, errs_ds = _em_errs(rem, N, K, absacc, want_ds)
-    return vals, dvals, errs, errs_ds, rem
+    [(_, out)] = _hurwitz_core_many([s], [(N, K, rem)], a, want_ds)
+    return out + (rem,)
 
 
 def _em_params(s: complex, a_min: float, tol: float) -> tuple[int, int, float]:
@@ -390,9 +390,15 @@ def _hurwitz_core_many(S, params, a: np.ndarray, want_ds: bool):
     S, whose (N, K, rem) _em_params gave as params, yielded as (i, tuple) and
     bit for bit the scalar calls: the points are grouped by (N, K), and each
     group goes through the engine's array form in chunks of at most
-    _BATCH_ENTRIES entries of C * A * N.  a holds valid shifts.  Every row is
-    a view of its chunk's arrays, so a consumer that keeps a row keeps its
-    chunk."""
+    _BATCH_ENTRIES entries of C * A * N; one point alone takes the scalar
+    form, which costs a fraction of a one-row batch.  a holds valid shifts.
+    Every row is a view of its chunk's arrays, so a consumer that keeps a
+    row keeps its chunk."""
+    if len(S) == 1:
+        N, K, rem = params[0]
+        vals, dvals, absacc = _em_eval(S[0], a, N, K, want_ds)
+        yield 0, (vals, dvals) + _em_errs(rem, N, K, absacc, want_ds)
+        return
     groups: dict = {}
     for i, (N, K, _) in enumerate(params):
         groups.setdefault((N, K), []).append(i)

@@ -78,6 +78,11 @@ class GridSpec:
     tmax: float = 40.0
     sigma_min: float = -10.0
 
+    def __post_init__(self):
+        if not all(math.isfinite(x) for x in (self.dsigma, self.dt, self.tmax, self.sigma_min)) \
+                or self.dsigma <= 0.0 or self.dt <= 0.0:
+            raise DomainError(f"a grid needs positive finite steps and finite bounds: {self}")
+
     def halved(self) -> "GridSpec":
         return GridSpec(self.dsigma / 2, self.dt / 2, self.tmax, self.sigma_min)
 
@@ -104,7 +109,8 @@ def check_region_negativity(
 ) -> VerificationReport:
     """Re (L'/L) < 0 scans over D1, D2, the lines Re s = -2j-kappa+1
     (region "line:j", target <= -1e-4), or the critical line under the
-    applicable negativity condition (region "critical").
+    applicable negativity condition (region "critical").  A scan with no
+    usable point is no pass: passed is None, with a status.
     """
     t0 = time.perf_counter()
     q, kappa = chi.q, chi.kappa
@@ -113,7 +119,12 @@ def check_region_negativity(
 
     if region.startswith("line:"):
         grid = grid or GridSpec()
-        j = int(region.split(":", 1)[1])
+        try:
+            j = int(region.split(":", 1)[1])
+        except ValueError:
+            j = 0
+        if j < 1:
+            raise DomainError(f"region line:<j> needs an integer j >= 1, got {region!r}")
         sigma = -2 * j - kappa + 1
         ts = np.arange(-grid.tmax, grid.tmax + grid.dt / 2, grid.dt)
         pts = [complex(sigma, t) for t in ts]
@@ -167,6 +178,15 @@ def check_region_negativity(
         raise DomainError(f"unknown region {region!r}")
 
     worst, used, skipped = _max_re_logderiv(chi, pts)
+    if not used:
+        return VerificationReport(
+            name="region_negativity",
+            params=params,
+            passed=None,
+            status=f"no-samples: none of the {len(pts)} grid points is usable",
+            skipped_points=skipped,
+            runtime=time.perf_counter() - t0,
+        )
     return VerificationReport(
         name="region_negativity",
         params=params,

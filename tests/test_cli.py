@@ -173,6 +173,16 @@ def test_exit_code_usage_error(capsys):
     assert cli.run(["verify", "constants", "--jobs", "2"]) == 2  # no such flag
     code, _ = run_cli(capsys, "char", "list", "--q", "2")  # DomainError
     assert code == 2
+    # grid steps that are not positive, line:<j> with no integer j >= 1, and a
+    # point that is not finite: no report and no traceback
+    region = ["verify", "region", "--q", "5", "--label", "1", "--region"]
+    for argv in (region + ["critical", "--spacing", "-1", "--csv"],
+                 region + ["critical", "--spacing", "0", "--csv"],
+                 region + ["line:x"], region + ["line:0"], region + ["line:-1"],
+                 ["eval", "--q", "5", "--label", "1", "--re", "nan"]):
+        assert cli.run(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: "), argv
 
 
 def test_sum_rule_below_its_main_terms_domain_is_a_usage_error(capsys):

@@ -11,6 +11,7 @@ import pytest
 
 from lderiv import characters as ch
 from lderiv import lfunc as lf
+from lderiv import special as sp
 from lderiv.errors import DomainError, NearZeroError, PoleError, PrecisionLossError
 from lderiv.numtypes import ComplexValue
 from lderiv.special import _digamma
@@ -304,6 +305,20 @@ def test_window_enforcement(chi5):
         lf.eval_L(chi5, 90.0)
     with pytest.raises(PrecisionLossError):
         lf.eval_L(chi5, 1 + 150j)
+    # a point that is not finite is bad input, not lost precision
+    for s in (complex(math.nan, 0.0), complex(0.5, math.inf)):
+        with pytest.raises(DomainError):
+            lf.eval_L(chi5, s)
+        with pytest.raises(DomainError):
+            lf.eval_L_points(chi5, [0.5 + 1j, s])
+
+
+def test_unknown_routes_are_refused_after_the_window_check(chi5):
+    for route in ("upper", "bogus"):
+        with pytest.raises(DomainError, match=f"unknown route '{route}'"):
+            lf.eval_L(chi5, 3.0, route=route)
+        with pytest.raises(PrecisionLossError):
+            lf.eval_Lprime(chi5, 90.0, route=route)
 
 
 
@@ -338,7 +353,7 @@ def _ref_eval_series(chi, s, deriv):
 def _ref_eval_hurwitz(chi, s, deriv):
     """q^(-s) sum_a chi(a) zeta(s, a/q), differentiated termwise if deriv."""
     d = chi.data
-    vals, dvals, errs, errs_ds, _rem = lf._hurwitz_core(s, d.residues, deriv, 1e-13)
+    vals, dvals, errs, errs_ds, _rem = sp._hurwitz_core(s, d.residues, deriv, 1e-13)
     qps = cmath.exp(-s * math.log(chi.q))
     zsum = complex(np.dot(d.weights, vals))
     if deriv:
@@ -480,7 +495,9 @@ def test_series_route_over_several_chunks_and_past_its_cap(chi5):
 
 def test_logderiv_via_fteq_equals_the_single_value_routes(pair_chars):
     for chi in pair_chars:
-        pts = lattice_points(20, (-80.0, -1.0), (-100.0, 100.0)) + [-1.0 + 0.5j, -79.0 + 1j]
+        # at -80.5 + 1j the point 1 - s lies outside the window
+        pts = lattice_points(20, (-80.0, -1.0), (-100.0, 100.0)) + [-1.0 + 0.5j, -79.0 + 1j,
+                                                                  -80.5 + 1j]
         for s in pts:
             got = lf.eval_logderiv_via_fteq(chi, s)
             assert _bits(got) == _bits(_ref_logderiv_via_fteq(chi, s)), (chi.q, s)

@@ -4,7 +4,9 @@ The tracer patches lderiv attributes by name and skips any it cannot find,
 so a rename would quietly zero its metrics.  The list is kept here, not
 imported from perfbench, so that the Tier-1 suite needs nothing outside
 lderiv.  (The tracer also names special._em_eval_grid, which was merged
-into _em_eval; its grid counters read 0 since then.)
+into _em_eval, and lfunc._eval_hurwitz and lfunc._eval_fe, which were
+folded into the block planner lfunc._eval_block; their counters read 0
+since then.)
 """
 
 import inspect
@@ -16,7 +18,7 @@ _WRAPPED = {
     special: ("_hurwitz_core", "_choose_em_params", "_em_eval", "hurwitz_grid",
               "_digamma", "log_gamma"),
     lfunc: ("eval_L", "eval_Lprime", "eval_L_point", "_eval", "_eval_series",
-            "_eval_hurwitz", "_eval_fe", "_grid_eval", "logderiv_euler_product"),
+            "_grid_eval", "logderiv_euler_product"),
     zeros: ("winding_count", "arg_variation", "_newton", "_certify_disk",
             "count_N1_detailed", "count_strip_detailed", "list_zeros",
             "locate_trivial_zero", "critical_line_zeros", "grid_zero_scan",

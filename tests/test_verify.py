@@ -2,9 +2,12 @@
 
 import json
 
+import pytest
+
 from lderiv import characters as ch
 from lderiv import lfunc
 from lderiv import verify as vf
+from lderiv.errors import DomainError
 
 
 def test_reference_constants_all_pass_with_positive_margin():
@@ -37,6 +40,18 @@ def test_region_critical(chi5, chi23):
     assert rep5.passed and rep5.params["t_lo"] == 2.0  # condition (2)
     rep23 = vf.check_region_negativity(chi23, "critical", grid)
     assert rep23.passed and rep23.params["t_lo"] == 0.0  # condition (3)
+
+
+def test_region_scan_without_samples_is_no_pass(chi5):
+    # chi_5's critical scan starts at t = 2, so tmax = 1 leaves no point
+    rep = vf.check_region_negativity(chi5, "critical", vf.GridSpec(tmax=1.0))
+    assert rep.passed is None and rep.measured is None and rep.status.startswith("no-samples")
+    for bad in ({"dt": 0.0}, {"dsigma": -0.5}, {"dt": float("nan")}, {"tmax": float("inf")}):
+        with pytest.raises(DomainError):
+            vf.GridSpec(**bad)
+    for region in ("line:x", "line:0", "line:-1"):
+        with pytest.raises(DomainError):
+            vf.check_region_negativity(chi5, region)
 
 
 def test_region_D1(chi5):
