@@ -34,7 +34,6 @@ from .numtypes import ComplexValue, TailBoundedSum
 from .report import VerificationReport
 from .special import (
     digamma,
-    digamma_lower_bound_check,
     hurwitz_zeta,
     hurwitz_zeta_ds,
     log_abs_cos_mean,

@@ -80,7 +80,6 @@ __all__ = [
     "logderiv_euler_product",
     "eval_L_grid",
     "eval_Lprime_grid",
-    "cauchy_derivative",
     "clear_cache",
 ]
 
@@ -384,8 +383,7 @@ def _eval(chi: DirichletCharacter, s: complex, deriv: bool, route: str) -> Compl
 _MANY_BLOCK = 512  # points per batch: bounds a batch's transient objects
 
 
-def _eval_many(chi: DirichletCharacter, points, derivs: tuple, route: str = "auto",
-               window: bool = True) -> list:
+def _eval_many(chi: DirichletCharacter, points, derivs: tuple, route: str = "auto") -> list:
     """L and L' at each of the points on the route: one tuple per point
     holding one ComplexValue per entry of derivs (False for L, True for L').
     The points go _MANY_BLOCK at a time through _eval_block; the values are
@@ -393,29 +391,26 @@ def _eval_many(chi: DirichletCharacter, points, derivs: tuple, route: str = "aut
     points = [complex(s) for s in points]
     out: list = []
     for start in range(0, len(points), _MANY_BLOCK):
-        out += _eval_block(chi, points[start:start + _MANY_BLOCK], derivs, route, window)
+        out += _eval_block(chi, points[start:start + _MANY_BLOCK], derivs, route)
     return out
 
 
-def _eval_block(chi: DirichletCharacter, points: list, derivs: tuple, route: str,
-                window: bool) -> list:
+def _eval_block(chi: DirichletCharacter, points: list, derivs: tuple, route: str) -> list:
     """_eval_many on one block of complex points: the one code that turns
     points into values.  Route "auto" looks each value up in the point
     cache, plans the rest of the point on the functional equation below
     Re s = 0, the upper route (_upper_parts) from Re s = 2 on and Hurwitz
     between, and caches what it evaluates; the _ROUTES plan every point on
-    that route and touch no cache.  window False skips the window check and
-    admits "upper" too (eval_logderiv_via_fteq's pair at 1 - s).  The
-    Hurwitz passes go through special._hurwitz_core_many together.  Points
-    are checked and planned in order, so the first one refused raises:
-    outside the window, an unknown route, or its route's own refusal."""
+    that route and touch no cache.  The Hurwitz passes go through
+    special._hurwitz_core_many together.  Points are checked and planned in
+    order, so the first one refused raises: outside the window, an unknown
+    route, or its route's own refusal."""
     got: dict = {}  # (s, deriv) -> value, for the answer
     todo: dict = {}  # s -> (derivs to evaluate, (F, F') or None, passes)
     leaves: list = []  # (character, point, derivs, (N, K, rem)) of each Hurwitz pass
     auto = route == "auto"
     for s in points:
-        if window:
-            _check_window(chi, s)
+        _check_window(chi, s)
         if s in todo:
             continue
         need, r = derivs, route
@@ -431,7 +426,7 @@ def _eval_block(chi: DirichletCharacter, points: list, derivs: tuple, route: str
                 continue
             need = tuple(need)
             r = "fe" if s.real < 0.0 else "upper" if s.real >= 2.0 else "hurwitz"
-        elif r not in _ROUTES and (window or r != "upper"):
+        elif r not in _ROUTES:
             raise DomainError(f"unknown route {route!r}")
         todo[s] = (need,) + _plan(leaves, chi, s, need, r)
 
@@ -496,8 +491,9 @@ def _lpoint(s, L: ComplexValue, Lp: ComplexValue) -> LPoint:
 def eval_logderiv_via_fteq(chi: DirichletCharacter, s: complex) -> ComplexValue:
     """(L'/L)(s,chi) from the log-derivative of the functional equation.
 
-    Valid for Re s <= -1:
+    Valid for -80 <= Re s <= -1:
       -(L'/L)(1-s, conj chi) - log(q/2pi) - psi(1-s) + (pi/2) cot(pi(s+kappa)/2).
+    Below Re s = -80 the point 1 - s leaves the window (PrecisionLossError).
     """
     s = complex(s)
     if s.real > -1.0:
@@ -506,8 +502,7 @@ def eval_logderiv_via_fteq(chi: DirichletCharacter, s: complex) -> ComplexValue:
     w = cmath.pi * (s + chi.kappa) / 2.0
     if s.imag == 0.0 and abs(cmath.sin(w)) < 1e-13:
         raise PoleError(f"cot pole (trivial zero of L) at s = {s}")
-    # the pair at 1 - s, not window-checked: Re(1 - s) exceeds 81 when Re s < -80
-    [(Lb, Lbp)] = _eval_many(chi.data.conj, [1.0 - s], _PAIR, "upper", window=False)
+    [(Lb, Lbp)] = _eval_many(chi.data.conj, [1.0 - s], _PAIR)
     ld = Lbp.value / Lb.value
     ld_err = (Lbp.err + abs(ld) * Lb.err) / abs(Lb.value)
     val = -ld - math.log(chi.q / (2.0 * math.pi)) - _digamma(1.0 - s) + (cmath.pi / 2.0) * _cot(w)
@@ -605,11 +600,3 @@ def eval_Lprime_grid(chi: DirichletCharacter, S: np.ndarray) -> np.ndarray:
     """Vectorized L'(s) over an array of points with Re s > 0."""
     return _grid_eval(chi, S, True)[0]
 
-
-def cauchy_derivative(func, s: complex, radius: float = 0.5, nodes: int = 128) -> complex:
-    """f'(s) by trapezoidal quadrature of Cauchy's formula on |w-s| = radius."""
-    acc = 0j
-    for k in range(nodes):
-        w = cmath.exp(2j * cmath.pi * k / nodes)
-        acc += complex(func(s + radius * w)) * w.conjugate()
-    return acc / (radius * nodes)

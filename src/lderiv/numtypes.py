@@ -16,14 +16,6 @@ class ComplexValue:
     value: complex
     err: float
 
-    @property
-    def re(self) -> float:
-        return self.value.real
-
-    @property
-    def im(self) -> float:
-        return self.value.imag
-
     def __abs__(self) -> float:
         return abs(self.value)
 

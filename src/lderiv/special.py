@@ -11,8 +11,7 @@ bit for bit the single-point evaluations.  _hurwitz_core_many feeds it the
 points of a batch grouped by their own (N, K), a lone point in the scalar
 form, and turns its output into error bars; _hurwitz_core is its one-point
 call.  The derivative in s comes from termwise differentiation of the same
-expansion; a Cauchy-circle quadrature of the undifferentiated routine is
-kept as an independent cross-check of that route.
+expansion.
 
 The grids of the zero scans go through hurwitz_grid, which evaluates
 sum_m f(m) m^-s for q-periodic f on a product of real parts sigma and
@@ -38,16 +37,13 @@ import numpy as np
 
 from .errors import DomainError, PoleError, PrecisionLossError
 from .numtypes import ComplexValue, TailBoundedSum
-from .report import VerificationReport
 
 __all__ = [
     "EULER_GAMMA",
     "digamma",
     "log_gamma",
-    "digamma_lower_bound_check",
     "hurwitz_zeta",
     "hurwitz_zeta_ds",
-    "hurwitz_zeta_cauchy_ds",
     "log_integral",
     "primes_up_to",
     "prime_tail_bound",
@@ -150,30 +146,18 @@ def log_gamma(z: complex) -> complex:
     return out - acc
 
 
-def digamma_lower_bound_check(z: complex) -> VerificationReport:
-    """Check Re psi(z) >= log|z| - pi/(2|Im z|) and report the margin."""
-    z = complex(z)
-    if z.imag == 0.0:
-        raise DomainError("digamma lower bound requires Im z != 0")
-    lhs = _digamma(z).real
-    rhs = math.log(abs(z)) - math.pi / (2.0 * abs(z.imag))
-    margin = lhs - rhs
-    return VerificationReport(
-        name="digamma_lower_bound",
-        params={"re": z.real, "im": z.imag},
-        measured=lhs,
-        bound=rhs,
-        margin=margin,
-        passed=margin > 0.0,
-    )
-
-
 # ----------------------------------------------------------------------
 # Hurwitz zeta by Euler-Maclaurin
 
 def _em_log_parts(s: complex, Ks):
-    """Per K in Ks (ascending), the parts of log R_K (see _em_remainder)
-    that do not depend on N, from one prefix sum of log|s + i|.
+    """Per K in Ks (ascending), the parts of log R_K that do not depend on N,
+    from one prefix sum of log|s + i|.  R_K is the standard Euler-Maclaurin
+    remainder bound after K correction terms,
+
+      |R_K| <= |B_{2K+2}|/(2K+2)! * |(s)_{2K+1}| * x_min^(-sigma-2K-1)
+               * max(1, |s+2K+1|/(sigma+2K+1)),  valid for sigma+2K+1 > 0,
+
+    and _em_bound(entry, log x_min) gives it.
 
     An entry is (lead, power, tail) with lead = log|B_{2K+2}/(2K+2)!| +
     log|(s)_{2K+1}|, power = -sigma - 2K - 1 and tail the log of the
@@ -213,15 +197,6 @@ def _em_bound(part, log_x: float) -> float:
     lead, power, tail = part
     log_r = lead + power * log_x + tail
     return math.exp(log_r) if log_r < 700 else math.inf
-
-
-def _em_remainder(s: complex, n_terms: int, K: int, x_min: float) -> float:
-    """Standard Euler-Maclaurin remainder bound after K correction terms.
-
-    |R_K| <= |B_{2K+2}|/(2K+2)! * |(s)_{2K+1}| * x^(-sigma-2K-1)
-             * max(1, |s+2K+1|/(sigma+2K+1)),  valid for sigma+2K+1 > 0.
-    """
-    return _em_bound(next(_em_log_parts(s, (K,))), math.log(x_min))
 
 
 def _choose_em_params(s: complex, a_min: float, tol: float) -> tuple[int, int, float]:
@@ -690,27 +665,6 @@ def hurwitz_zeta(s: complex, a: float) -> ComplexValue:
 def hurwitz_zeta_ds(s: complex, a: float) -> ComplexValue:
     """d/ds zeta(s, a), termwise-differentiated Euler-Maclaurin."""
     return _hurwitz_checked(s, a, True, 1e-11, 50.0, "hurwitz_zeta_ds")
-
-
-def hurwitz_zeta_cauchy_ds(s: complex, a: float) -> ComplexValue:
-    """d/ds zeta(s, a) via Cauchy's integral formula on |w - s| = 1/2.
-
-    Trapezoidal quadrature with 128 nodes on the circle; independent of the
-    differentiated series and used to cross-check it.
-    """
-    radius, nodes = 0.5, 128
-    s = complex(s)
-    if abs(s - 1.0) <= radius + 1e-9:
-        raise DomainError("Cauchy circle would touch the pole at s = 1")
-    acc = 0j
-    err = 0.0
-    for mnode in range(nodes):
-        theta = 2.0 * math.pi * mnode / nodes
-        w = cmath.exp(1j * theta)
-        fv = hurwitz_zeta(s + radius * w, a)
-        acc += fv.value * w.conjugate()
-        err += fv.err
-    return ComplexValue(acc / (radius * nodes), err / (radius * nodes) + 1e-13 * abs(acc))
 
 
 # ----------------------------------------------------------------------

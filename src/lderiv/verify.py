@@ -19,9 +19,9 @@ import numpy as np
 from .characters import DirichletCharacter, kronecker_character
 from .errors import DomainError
 from .lfunc import (
+    SIGMA_MAX,
     eval_L_point,
     eval_L_points,
-    eval_Lprime,
     logderiv_euler_product,
 )
 from .numtypes import ComplexValue
@@ -37,6 +37,7 @@ from .zeros import (
     Contour,
     Indentation,
     _bisect_real_logderiv,
+    _evaluator,
     count_N1_detailed,
     count_strip_detailed,
     grid_zero_scan,
@@ -110,12 +111,19 @@ def check_region_negativity(
     """Re (L'/L) < 0 scans over D1, D2, the lines Re s = -2j-kappa+1
     (region "line:j", target <= -1e-4), or the critical line under the
     applicable negativity condition (region "critical").  A scan with no
-    usable point is no pass: passed is None, with a status.
+    usable point, or a region outside the window, is no pass: passed is
+    None, with a status.
     """
     t0 = time.perf_counter()
     q, kappa = chi.q, chi.kappa
     params = {"q": q, "label": chi.label, "region": region}
     bound = 0.0
+
+    def no_pass(status: str, skipped: int = 0) -> VerificationReport:
+        return VerificationReport(
+            name="region_negativity", params=params, passed=None, status=status,
+            skipped_points=skipped, runtime=time.perf_counter() - t0,
+        )
 
     if region.startswith("line:"):
         grid = grid or GridSpec()
@@ -126,6 +134,8 @@ def check_region_negativity(
         if j < 1:
             raise DomainError(f"region line:<j> needs an integer j >= 1, got {region!r}")
         sigma = -2 * j - kappa + 1
+        if -sigma > SIGMA_MAX:
+            return no_pass(f"window-empty: line:{j} lies at sigma = {sigma} < -{SIGMA_MAX:g}")
         ts = np.arange(-grid.tmax, grid.tmax + grid.dt / 2, grid.dt)
         pts = [complex(sigma, t) for t in ts]
         bound = -1e-4
@@ -145,13 +155,7 @@ def check_region_negativity(
         # Theta surrogate: certify no strip zeros of L in the window first
         n_minus, _ = count_strip_detailed(chi, 20.0, "L")
         if n_minus != 0:
-            return VerificationReport(
-                name="region_negativity",
-                params=params,
-                passed=None,
-                status=f"N-(20) = {n_minus} != 0: Theta = 1/2 surrogate unavailable",
-                runtime=time.perf_counter() - t0,
-            )
+            return no_pass(f"N-(20) = {n_minus} != 0: Theta = 1/2 surrogate unavailable")
         t_lo = 6.0 / math.log(q)
         sig = np.arange(grid.sigma_min, 0.5 + grid.dsigma / 2, grid.dsigma)
         ts = np.arange(t_lo, grid.tmax + grid.dt / 2, grid.dt)
@@ -160,13 +164,7 @@ def check_region_negativity(
     elif region == "D2":
         grid = grid or GridSpec(dsigma=2.0, dt=2.0)
         if q * q > 80:
-            return VerificationReport(
-                name="region_negativity",
-                params=params,
-                passed=None,
-                status="window-empty: D2 requires sigma <= -q^2 < -80",
-                runtime=time.perf_counter() - t0,
-            )
+            return no_pass("window-empty: D2 requires sigma <= -q^2 < -80")
         sig = np.arange(-80.0, -q * q + grid.dsigma / 2, grid.dsigma)
         pts = []
         for x in sig:
@@ -179,14 +177,7 @@ def check_region_negativity(
 
     worst, used, skipped = _max_re_logderiv(chi, pts)
     if not used:
-        return VerificationReport(
-            name="region_negativity",
-            params=params,
-            passed=None,
-            status=f"no-samples: none of the {len(pts)} grid points is usable",
-            skipped_points=skipped,
-            runtime=time.perf_counter() - t0,
-        )
+        return no_pass(f"no-samples: none of the {len(pts)} grid points is usable", skipped)
     return VerificationReport(
         name="region_negativity",
         params=params,
@@ -217,7 +208,7 @@ def check_near_origin_strip(chi: DirichletCharacter, T: float = 40.0) -> Verific
     params["threshold_even"] = round(thr_even, 6)
     params["threshold_odd"] = round(thr_odd, 6)
 
-    f = lambda s: eval_Lprime(chi, s)
+    f = _evaluator(chi, "Lprime")
     if kappa == 0:
         if q < 7:
             return VerificationReport(

@@ -60,7 +60,6 @@ __all__ = [
     "count_N1_detailed",
     "count_strip",
     "count_strip_detailed",
-    "count_strip_mesh_stable",
     "list_zeros",
     "critical_line_zeros",
     "grid_zero_scan",
@@ -682,15 +681,6 @@ def count_strip_detailed(
 
 def count_strip(chi: DirichletCharacter, T: float, which: Which) -> int:
     return count_strip_detailed(chi, T, which)[0]
-
-
-def count_strip_mesh_stable(chi: DirichletCharacter, T: float, which: Which) -> int:
-    """count_strip recomputed at half the boundary mesh; raises on mismatch."""
-    n1, _ = count_strip_detailed(chi, T, which, mesh=1.0)
-    n2, _ = count_strip_detailed(chi, T, which, mesh=0.5)
-    if n1 != n2:
-        raise NumericalError(f"strip count unstable under mesh halving: {n1} vs {n2}")
-    return n1
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,13 @@
+import cmath
+import math
 from itertools import count
 
 import mpmath
 import pytest
 
 from lderiv import characters
+from lderiv import special as sp
+from lderiv.errors import DomainError
 
 
 @pytest.fixture(scope="session")
@@ -65,3 +69,31 @@ def log_abs_cos_mean_quad(a, b):
         val = mpmath.quad(
             lambda th: mpmath.log(abs(a - b + 2 * b * mpmath.cos(th / 2) ** 2)), points)
         return float(val / mpmath.pi)
+
+
+def cauchy_derivative(func, s, radius, nodes):
+    """f'(s) by trapezoidal quadrature of Cauchy's formula on |w - s| = radius:
+    a reference for the termwise-differentiated routes that uses only f."""
+    acc = 0j
+    for k in range(nodes):
+        w = cmath.exp(2j * cmath.pi * k / nodes)
+        acc += complex(func(s + radius * w)) * w.conjugate()
+    return acc / (radius * nodes)
+
+
+def hurwitz_zeta_cauchy_ds(s, a):
+    """d/ds zeta(s, a) by cauchy_derivative of special.hurwitz_zeta on
+    |w - s| = 1/2 with 128 nodes, independent of the differentiated series."""
+    s = complex(s)
+    if abs(s - 1.0) <= 0.5 + 1e-9:
+        raise DomainError("Cauchy circle would touch the pole at s = 1")
+    return cauchy_derivative(lambda w: sp.hurwitz_zeta(w, a).value, s, 0.5, 128)
+
+
+def digamma_lower_bound_margin(z):
+    """Re psi(z) - (log|z| - pi/(2|Im z|)): positive where the digamma lower
+    bound holds; it needs Im z != 0."""
+    z = complex(z)
+    if z.imag == 0.0:
+        raise DomainError("digamma lower bound requires Im z != 0")
+    return sp._digamma(z).real - (math.log(abs(z)) - math.pi / (2.0 * abs(z.imag)))

@@ -198,6 +198,10 @@ def test_exit_code_numerical_error(capsys):
     code, _ = run_cli(capsys, "eval", "--q", "5", "--label", "1", "--re", "90",
                       "--im", "0")
     assert code == 3
+    # a region scan past the window is no pass, not an error
+    code, out = run_cli(capsys, "verify", "region", "--q", "5", "--label", "1",
+                        "--region", "line:42")
+    assert code == 0 and json.loads(out)[0]["status"].startswith("window-empty")
 
 
 def test_exit_code_check_failure(capsys, monkeypatch):

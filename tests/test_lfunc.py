@@ -15,7 +15,7 @@ from lderiv import special as sp
 from lderiv.errors import DomainError, NearZeroError, PoleError, PrecisionLossError
 from lderiv.numtypes import ComplexValue
 from lderiv.special import _digamma
-from tests.conftest import lattice_points
+from tests.conftest import cauchy_derivative, lattice_points
 
 mpmath.mp.dps = 30
 
@@ -100,7 +100,7 @@ def test_Lprime_finite_differences(chi5, chi7_complex):
 
 def test_Lprime_vs_cauchy_circle(chi5):
     for s in (2 + 3j, 0.8 + 5j):
-        cc = lf.cauchy_derivative(lambda w: lf.eval_L(chi5, w).value, s, 0.5, 128)
+        cc = cauchy_derivative(lambda w: lf.eval_L(chi5, w).value, s, 0.5, 128)
         assert abs(lf.eval_Lprime(chi5, s).value - cc) < 1e-9
 
 
@@ -495,12 +495,18 @@ def test_series_route_over_several_chunks_and_past_its_cap(chi5):
 
 def test_logderiv_via_fteq_equals_the_single_value_routes(pair_chars):
     for chi in pair_chars:
-        # at -80.5 + 1j the point 1 - s lies outside the window
-        pts = lattice_points(20, (-80.0, -1.0), (-100.0, 100.0)) + [-1.0 + 0.5j, -79.0 + 1j,
-                                                                  -80.5 + 1j]
+        pts = lattice_points(20, (-80.0, -1.0), (-100.0, 100.0)) + [-1.0 + 0.5j, -79.0 + 1j]
         for s in pts:
-            got = lf.eval_logderiv_via_fteq(chi, s)
-            assert _bits(got) == _bits(_ref_logderiv_via_fteq(chi, s)), (chi.q, s)
+            ref = _bits(_ref_logderiv_via_fteq(chi, s))
+            lf.clear_cache()  # the pair at 1 - s cold, then with L alone cached, then both
+            assert _bits(lf.eval_logderiv_via_fteq(chi, s)) == ref, (chi.q, s)
+            lf.clear_cache()
+            lf.eval_L(chi.data.conj, 1.0 - s)
+            for _ in range(2):
+                assert _bits(lf.eval_logderiv_via_fteq(chi, s)) == ref, (chi.q, s)
+        # at -80.5 + 1j the point 1 - s lies outside the window
+        with pytest.raises(PrecisionLossError):
+            lf.eval_logderiv_via_fteq(chi, -80.5 + 1j)
 
 
 def test_point_cache_keys_of_the_pair(chi5, chi7_complex):

@@ -10,7 +10,12 @@ import pytest
 from lderiv import lfunc as lf
 from lderiv import special as sp
 from lderiv.errors import DomainError, PoleError, PrecisionLossError
-from tests.conftest import lattice_points, log_abs_cos_mean_quad
+from tests.conftest import (
+    digamma_lower_bound_margin,
+    hurwitz_zeta_cauchy_ds,
+    lattice_points,
+    log_abs_cos_mean_quad,
+)
 
 mpmath.mp.dps = 30
 
@@ -69,15 +74,14 @@ def test_digamma_poles():
 
 def test_digamma_lower_bound_check():
     for z in (0.25 + 1j, -3 + 0.1j, 2 + 5j):
-        rep = sp.digamma_lower_bound_check(z)
-        assert rep.passed and rep.margin > 0
+        assert digamma_lower_bound_margin(z) > 0, z
     # Re psi is within 0.2 of log|z| at 2+5i (both our route and mpmath)
     z = 2 + 5j
     ref = complex(mpmath.psi(0, mpmath.mpc(z))).real
     assert abs(ref - math.log(abs(z))) < 0.2
     assert abs(sp.digamma(z).value.real - math.log(abs(z))) < 0.2
     with pytest.raises(DomainError):
-        sp.digamma_lower_bound_check(3.0)
+        digamma_lower_bound_margin(3.0)
 
 
 def test_log_gamma_vs_multiprecision():
@@ -139,7 +143,7 @@ def test_hurwitz_ds_classical_value():
 def test_hurwitz_ds_vs_cauchy_circle():
     for s, a in [(2 + 3j, 2 / 7), (0.5 + 5j, 0.6), (3.5, 0.11)]:
         em = sp.hurwitz_zeta_ds(s, a).value
-        cc = sp.hurwitz_zeta_cauchy_ds(s, a).value
+        cc = hurwitz_zeta_cauchy_ds(s, a)
         assert abs(em - cc) < 1e-9 * (1 + abs(em)), (s, a)
 
 
@@ -158,7 +162,7 @@ def test_hurwitz_ds_vs_multiprecision():
 
 def test_hurwitz_cauchy_rejects_circle_through_pole():
     with pytest.raises(DomainError):
-        sp.hurwitz_zeta_cauchy_ds(1.2, 0.5)
+        hurwitz_zeta_cauchy_ds(1.2, 0.5)
 
 
 # Euler-Maclaurin (N, K) policy: reference copy of the per-pair loop it
@@ -228,7 +232,8 @@ def test_em_policy_matches_reference_bit_for_bit():
             assert (N, K) == (rN, rK), (s, a_min, tol)
             ref = _ref_em_remainder(s, N, K, N + a_min)
             assert repr(rem) == repr(ref), (s, a_min, tol)
-            assert repr(sp._em_remainder(s, N, K, N + a_min)) == repr(ref)
+            got = sp._em_bound(next(sp._em_log_parts(s, (K,))), math.log(N + a_min))
+            assert repr(got) == repr(ref)
 
 
 def test_em_policy_stopping_early_keeps_the_reference_choice():
@@ -257,7 +262,7 @@ def test_em_remainder_matches_reference_at_the_edges():
     for s in pts:
         for K in range(60):
             for x_min in (1.0 + 1 / 229, 24.2, 4000.5):
-                got = sp._em_remainder(s, 0, K, x_min)
+                got = sp._em_bound(next(sp._em_log_parts(s, (K,))), math.log(x_min))
                 assert repr(got) == repr(_ref_em_remainder(s, 0, K, x_min)), (s, K, x_min)
 
 
@@ -266,7 +271,7 @@ def test_hurwitz_core_returns_the_chosen_pairs_remainder():
         a = np.array([1 / 7, 3 / 7, 1.0])
         N, K, _ = sp._choose_em_params(s, 1 / 7, 1e-13)
         *_, rem = sp._hurwitz_core(s, a, False, 1e-13)
-        assert rem == sp._em_remainder(s, N, K, N + 1 / 7), s
+        assert rem == sp._em_bound(next(sp._em_log_parts(s, (K,))), math.log(N + 1 / 7)), s
 
 
 # Euler-Maclaurin engine: verbatim copies of the scalar engine and of the

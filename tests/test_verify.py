@@ -67,6 +67,13 @@ def test_region_D2_window_honesty():
     rep23 = vf.check_region_negativity(chi23, "D2")
     assert rep23.passed is None
     assert "window-empty" in rep23.status
+    # line:<j> sits at sigma = -2j - kappa + 1: -81 for chi_5 at j = 41, the
+    # window's edge, and -83 at j = 42, outside it
+    chi5 = ch.kronecker_character(5)
+    assert vf.check_region_negativity(chi5, "line:41").passed is True
+    rep42 = vf.check_region_negativity(chi5, "line:42")
+    assert rep42.passed is None and rep42.measured is None
+    assert rep42.status.startswith("window-empty")
 
 
 def test_distance_sum_T2_edge(chi5):

@@ -18,6 +18,7 @@ from lderiv.errors import (
 )
 from lderiv.numtypes import ComplexValue
 from lderiv.special import log_gamma
+from tests.conftest import cauchy_derivative
 from tests.test_special import _ref_hurwitz_grid
 
 
@@ -231,8 +232,9 @@ def test_count_strip_mod23(chi23):
 
 
 def test_count_strip_mesh_halving(chi23):
-    assert zr.count_strip_mesh_stable(chi23, 10.0, "Lprime") == 0
-    assert zr.count_strip_mesh_stable(chi23, 10.0, "L") == 0
+    for which in ("Lprime", "L"):
+        counts = [zr.count_strip_detailed(chi23, 10.0, which, mesh=m)[0] for m in (1.0, 0.5)]
+        assert counts == [0, 0], which
 
 
 def test_count_strip_chi5_grh_desk_scale(chi5):
@@ -247,7 +249,7 @@ def test_list_zeros_consistency(chi5):
     for r in recs:
         assert r.classification == "nontrivial"
         resid = abs(lf.eval_Lprime(chi5, r.location).value)
-        curv = abs(lf.cauchy_derivative(lambda w: lf.eval_Lprime(chi5, w).value, r.location, 0.1, 32))
+        curv = abs(cauchy_derivative(lambda w: lf.eval_Lprime(chi5, w).value, r.location, 0.1, 32))
         assert resid <= 1e-7 * (1.0 + curv)
     # conjugation symmetry of the zero set for a real character
     locs = sorted((r.location for r in recs), key=lambda z: (z.imag, z.real))
