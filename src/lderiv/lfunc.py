@@ -4,8 +4,9 @@ the normalized derivative G(s,chi) = -m^s/(chi(m) log m) * L'(s,chi).
 Continuation strategy (route="auto"):
 
   Re s >= 2   direct Dirichlet series, truncated where the Abel-summation
-              tail bound meets the accuracy target (falls back to the
-              Hurwitz route if that would need too many terms);
+              tail bound meets the accuracy target, where that cutoff is
+              at most the A (N + 2K) terms of a Hurwitz pass (A residues,
+              (N, K) the Euler-Maclaurin pair at s); else the Hurwitz route;
   0 <= Re s < 2   q^(-s) * sum_a chi(a) zeta(s, a/q) via Euler-Maclaurin
               Hurwitz zeta;
   Re s < 0    the functional equation L(s,chi) = F(s,chi) L(1-s, conj chi),
@@ -26,16 +27,17 @@ with the route as its parameter: eval_L and eval_Lprime are one-point
 calls of it, eval_L_point and eval_L_points its pair form.  On the auto
 route each point is looked up in the point cache, and the values not
 cached are evaluated and cached under their own (q, label, s, deriv) keys;
-a forced route touches no cache.  L and L' at the same point come from
-one pass of a route: one Euler-Maclaurin engine result (whose d/ds pass
-yields L bit for bit), one array of Dirichlet-series terms summed to each
-value's own cutoff, or one F(s) with one L(1-s), L'(1-s) pair, which is
-not cached.  The Hurwitz-engine work of a block of points -- the Hurwitz
-route and the functional equation's inner L(1-s), L'(1-s) -- goes through
-the engine in one call per chunk of points that share (N, K) (one point
-alone takes the engine's scalar form); the series route and F(s) stay one
-call per point.  Every value and bar is the same bytes however the points
-are batched.
+a forced route touches no cache.  A one-point call whose values are all
+cached returns them without planning a block.  L and L' at the same point
+come from one pass of a route: one Euler-Maclaurin engine result (whose
+d/ds pass yields L bit for bit), one array of Dirichlet-series terms summed
+to each value's own cutoff, or one F(s) with one L(1-s), L'(1-s) pair,
+which is not cached.  The Hurwitz-engine work of a block of points -- the
+Hurwitz route and the functional equation's inner L(1-s), L'(1-s) -- goes
+through the engine in one call per chunk of points that share (N, K) (one
+point alone takes the engine's scalar form); the series route and F(s)
+stay one call per point.  Every value and bar is the same bytes however
+the points are batched.
 
 eval_L_grid and eval_Lprime_grid serve arrays of points with Re s > 0 (the
 zero oracle's grids) outside the point cache: one special.hurwitz_grid call
@@ -56,6 +58,7 @@ from .characters import DirichletCharacter
 from .errors import DomainError, NearZeroError, NumericalError, PoleError, PrecisionLossError
 from .numtypes import ComplexValue
 from .special import (
+    _EPS,
     _digamma,
     _em_params,
     _hurwitz_core_many,
@@ -179,7 +182,12 @@ def _eval_series(chi: DirichletCharacter, s: complex, derivs: tuple) -> tuple:
     """sum chi(n) n^-s  (or -sum chi(n) log n n^-s), certified Abel tail.
 
     One value per entry of derivs (False for L, True for L'), each summed over
-    its own cutoff from one array of terms chi(n) n^-s.
+    its own cutoff N from one array of terms chi(n) n^-s.  Each bar is the
+    tail bound plus the rounding of the sum, (8e-16 + 2 eps |s| log N) times
+    the summed magnitudes: np.log(n) is within one ulp (relative eps) and
+    s * log n rounds each of its parts once (eps/2), so the exponent of
+    n^-s is off by at most 1.5 eps |s| log n <= 2 eps |s| log N, which exp
+    turns into the same relative error of the term.
     """
     if s.real < 1.5:
         raise DomainError("direct series route needs Re s >= 1.5")
@@ -204,7 +212,8 @@ def _eval_series(chi: DirichletCharacter, s: complex, derivs: tuple) -> tuple:
             totals[i] += complex(terms.sum())
             absaccs[i] += float(np.abs(terms).sum())
     return tuple(
-        ComplexValue(total, _series_tail_bound(chi, s, deriv, N) + 8e-16 * absacc)
+        ComplexValue(total, _series_tail_bound(chi, s, deriv, N)
+                     + (8e-16 + 2 * _EPS * abs(s) * math.log(N)) * absacc)
         for deriv, N, total, absacc in zip(derivs, Ns, totals, absaccs)
     )
 
@@ -216,8 +225,14 @@ def _hurwitz_values(chi: DirichletCharacter, s: complex, derivs: tuple,
                     vals, dvals, errs, errs_ds) -> tuple:
     """The route's values and bars at s, one per entry of derivs, from one
     engine result: the pass that yields d/ds yields the undifferentiated
-    values and bars bit for bit."""
+    values and bars bit for bit.
+
+    Each bar adds (1e-15 + 2 eps |s| log q) |value| for the factor q^-s:
+    math.log(q) is within one ulp (relative eps) and s * log q rounds each
+    of its parts once (eps/2), so the exponent is off by at most
+    1.5 eps |s| log q, the relative error of q^-s and so of the value."""
     d = chi.data
+    rel = 1e-15 + 2 * _EPS * abs(s) * math.log(chi.q)
     qps = cmath.exp(-s * math.log(chi.q))
     zsum = complex(np.dot(d.weights, vals))
     out = []
@@ -230,7 +245,7 @@ def _hurwitz_values(chi: DirichletCharacter, s: complex, derivs: tuple,
         else:
             val = qps * zsum
             err = abs(qps) * float(np.sum(errs))
-        out.append(ComplexValue(val, err + 1e-15 * abs(val)))
+        out.append(ComplexValue(val, err + rel * abs(val)))
     return tuple(out)
 
 
@@ -304,22 +319,39 @@ def eval_F(chi: DirichletCharacter, s: complex) -> FunctionalEquationFactor:
 # ----------------------------------------------------------------------
 # the evaluators: every value comes from the block planner
 
-def _upper_parts(chi: DirichletCharacter, s: complex, derivs: tuple) -> list:
-    """The upper route's passes at s (Re s >= 1) as (by series, their derivs),
-    in derivs order: series when affordable, else Hurwitz.
+def _em_pair(chi: DirichletCharacter, s: complex) -> tuple:
+    """The engine's (N, K, rem) for a Hurwitz pass at s: 1/q is the smallest
+    residue a/q (a = 1)."""
+    return _em_params(s, 1.0 / chi.q, 1e-13)
 
-    The Euler-Maclaurin route is both cheaper and tighter once the certified
-    series truncation would exceed ~50k terms (sigma near 2 with |s| large).
-    The choice is made per entry of derivs (L' needs more terms than L);
-    entries that share a route share one pass.
+
+def _upper_parts(chi: DirichletCharacter, s: complex, derivs: tuple) -> tuple:
+    """The upper route at s (Re s >= 1): the engine's (N, K, rem) at s, or
+    None where the policy did not run, and the passes as (by series, their
+    derivs) in derivs order.
+
+    At Re s >= 2 an entry of derivs takes the Dirichlet series iff its
+    cutoff is at most the A (N + 2K) terms of a Hurwitz pass, with A the
+    residues and (N, K) the policy's pair at s; below, every entry takes
+    Hurwitz.  The policy runs only when some cutoff exceeds
+    A (max(20, ceil(1.3 |t|)) + 12), its smallest N + 2K at Re s >= 2, and
+    its pair then serves the Hurwitz pass too.  The choice is made per
+    entry (L' needs more series terms than L); entries that share a route
+    share one pass.
     """
-    by_series = [
-        s.real >= 2.0 and _series_cutoff(chi, s, deriv, 3e-10) <= 50_000 for deriv in derivs
-    ]
+    params = None
+    by_series = [False] * len(derivs)
+    if s.real >= 2.0:
+        A = len(chi.data.residues)
+        cuts = [_series_cutoff(chi, s, deriv, 3e-10) for deriv in derivs]
+        by_series = [n <= A * (max(20, math.ceil(1.3 * abs(s.imag))) + 12) for n in cuts]
+        if not all(by_series):
+            params = _em_pair(chi, s)
+            by_series = [n <= A * (params[0] + 2 * params[1]) for n in cuts]
     if all(by_series) or not any(by_series):
-        return [(by_series[0], derivs)]
+        return params, [(by_series[0], derivs)]
     # a pair split between the routes (L' needs more series terms than L)
-    return [(series, (deriv,)) for series, deriv in zip(by_series, derivs)]
+    return params, [(series, (deriv,)) for series, deriv in zip(by_series, derivs)]
 
 
 def _fe_values(F: ComplexValue, Fp: ComplexValue, inner: tuple, derivs: tuple) -> tuple:
@@ -348,17 +380,19 @@ def _fe_values(F: ComplexValue, Fp: ComplexValue, inner: tuple, derivs: tuple) -
 _ROUTES = ("series", "hurwitz", "fe")  # the routes a caller may force
 
 
-def _leaf(leaves: list, chi: DirichletCharacter, s: complex, derivs: tuple) -> int:
+def _leaf(leaves: list, chi: DirichletCharacter, s: complex, derivs: tuple,
+          params: Optional[tuple] = None) -> int:
     """Defer a Hurwitz pass at s to leaves, with the engine's (N, K, rem)
-    for it: its index.  1/q is the smallest residue a/q (a = 1)."""
-    leaves.append((chi, s, derivs, _em_params(s, 1.0 / chi.q, 1e-13)))
+    for it (params, or _em_pair's when None): its index."""
+    leaves.append((chi, s, derivs, _em_pair(chi, s) if params is None else params))
     return len(leaves) - 1
 
 
 def _upper(leaves: list, chi: DirichletCharacter, s: complex, derivs: tuple) -> list:
     """The upper route's passes at s: a value tuple or a leaf index each."""
-    return [_eval_series(chi, s, part) if series else _leaf(leaves, chi, s, part)
-            for series, part in _upper_parts(chi, s, derivs)]
+    params, parts = _upper_parts(chi, s, derivs)
+    return [_eval_series(chi, s, part) if series else _leaf(leaves, chi, s, part, params)
+            for series, part in parts]
 
 
 def _plan(leaves: list, chi: DirichletCharacter, s: complex, derivs: tuple, route: str):
@@ -375,8 +409,12 @@ def _plan(leaves: list, chi: DirichletCharacter, s: complex, derivs: tuple, rout
 
 
 def _eval(chi: DirichletCharacter, s: complex, deriv: bool, route: str) -> ComplexValue:
-    """L (deriv False) or L' (deriv True) at s on the route: _eval_many at
-    one point."""
+    """L (deriv False) or L' (deriv True) at s on the route: the cached value
+    on the auto route, else _eval_many at one point."""
+    if route == "auto":
+        val = _POINT_CACHE.get(_cache_key(chi, complex(s), deriv))
+        if val is not None:
+            return val
     return _eval_many(chi, [s], (deriv,), route)[0][0]
 
 
@@ -468,7 +506,12 @@ def eval_L_point(chi: DirichletCharacter, s: complex) -> LPoint:
     """L, L' and (when |L| clears the noise floor) L'/L at one point: each
     value is looked up in the point cache, and those not cached come from
     one pass."""
-    return eval_L_points(chi, [s])[0]
+    z = complex(s)
+    L = _POINT_CACHE.get(_cache_key(chi, z, False))
+    Lp = _POINT_CACHE.get(_cache_key(chi, z, True))
+    if L is None or Lp is None:
+        return eval_L_points(chi, [s])[0]
+    return _lpoint(s, L, Lp)
 
 
 def eval_L_points(chi: DirichletCharacter, points) -> list[LPoint]:

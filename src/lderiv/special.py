@@ -342,16 +342,33 @@ def _em_params(s: complex, a_min: float, tol: float) -> tuple[int, int, float]:
     return _choose_em_params(s, a_min, tol)
 
 
-def _em_errs(rem, N: int, K: int, absacc: np.ndarray, want_ds: bool):
-    """(errs, errs_ds) of one engine result: the remainder bound rem plus a
-    conservative rounding term per shift a; errs_ds is None unless want_ds.
-    rem may be a float (absacc of shape (A,)) or a (C, 1) array (absacc of
-    shape (C, A)); each row then equals the scalar call bit for bit."""
-    errs = rem + 8 * _EPS * absacc
+def _em_rounding(s: complex, N: int) -> float:
+    """The relative rounding an engine result at s charges to absacc: 8 eps
+    for the sums, plus 2 eps (|s| + 1) log(N + 2) for the phases.
+
+    Every term exponentiates a multiple of log x with x = n + a <= N + 1:
+    -s log x for the summands, (1 - s) log x and (-s - 1) log x for the
+    closing and Bernoulli terms.  np.log is within one ulp (relative eps),
+    and the product w * log x rounds each of its parts once (eps/2), and
+    1 - s or -s - 1 once more (eps/2 of |w|), so the exponent is off by at
+    most 2 eps |w| log x <= 2 eps (|s| + 1) log(N + 2), which exp turns into
+    the same relative error of the term.  |s| is a Python float per point,
+    so a batch row charges the scalar call's bytes."""
+    return 8 * _EPS + 2 * _EPS * (abs(s) + 1.0) * math.log(N + 2.0)
+
+
+def _em_errs(rem, rnd, N: int, K: int, absacc: np.ndarray, want_ds: bool):
+    """(errs, errs_ds) of one engine result: the remainder bound rem plus the
+    rounding rnd * absacc per shift a (rnd from _em_rounding); errs_ds is
+    None unless want_ds.  rem and rnd may be floats (absacc of shape (A,))
+    or (C, 1) arrays (absacc of shape (C, A)); each row then equals the
+    scalar call bit for bit."""
+    errs = rem + rnd * absacc
     if not want_ds:
         return errs, None
-    # differentiated series: remainder picks up roughly a log x factor
-    errs_ds = rem * (math.log(N + 1.0) + 2.0 * (2 * K + 1)) + 8 * _EPS * absacc * (
+    # differentiated series: remainder and rounding pick up roughly a log x
+    # factor (the terms are multiplied by log(n + a) <= log(N + 2))
+    errs_ds = rem * (math.log(N + 1.0) + 2.0 * (2 * K + 1)) + rnd * absacc * (
         math.log(N + 2.0) + 1.0
     )
     return errs, errs_ds
@@ -372,7 +389,7 @@ def _hurwitz_core_many(S, params, a: np.ndarray, want_ds: bool):
     if len(S) == 1:
         N, K, rem = params[0]
         vals, dvals, absacc = _em_eval(S[0], a, N, K, want_ds)
-        yield 0, (vals, dvals) + _em_errs(rem, N, K, absacc, want_ds)
+        yield 0, (vals, dvals) + _em_errs(rem, _em_rounding(S[0], N), N, K, absacc, want_ds)
         return
     groups: dict = {}
     for i, (N, K, _) in enumerate(params):
@@ -384,7 +401,8 @@ def _hurwitz_core_many(S, params, a: np.ndarray, want_ds: bool):
             vals, dvals, absacc = _em_eval(np.array([S[i] for i in chunk], dtype=complex),
                                            a, N, K, want_ds)
             rem = np.array([params[i][2] for i in chunk])[:, None]
-            errs, errs_ds = _em_errs(rem, N, K, absacc, want_ds)
+            rnd = np.array([_em_rounding(S[i], N) for i in chunk])[:, None]
+            errs, errs_ds = _em_errs(rem, rnd, N, K, absacc, want_ds)
             for r, i in enumerate(chunk):
                 yield i, (vals[r], None if dvals is None else dvals[r], errs[r],
                           None if errs_ds is None else errs_ds[r])

@@ -55,6 +55,25 @@ def lattice_points(n, x_range, y_range, skip=lambda z: False):
     return out
 
 
+def mp_L_pair(chi, s):
+    """(L, L')(s, chi) by mpmath's Hurwitz zeta with exact character values.
+    The working precision grows near s = 1, where the residues' 1/(s - 1)
+    and 1/(s - 1)^2 parts cancel."""
+    q = chi.q
+    with mpmath.workdps(20 + 2 * max(0, round(-math.log10(abs(s - 1.0))))):
+        z = mpmath.mpc(s.real, s.imag)
+        zsum = dsum = 0
+        for a in range(1, q):
+            if chi.exponents[a] is None:
+                continue
+            w = mpmath.expjpi(mpmath.mpf(2 * chi.exponents[a]) / chi.order)
+            x = mpmath.mpf(a) / q
+            zsum += w * mpmath.zeta(z, x)
+            dsum += w * mpmath.zeta(z, x, 1)
+        qs = mpmath.power(q, -z)
+        return complex(qs * zsum), complex(qs * (dsum - mpmath.log(q) * zsum))
+
+
 def log_abs_cos_mean_quad(a, b):
     """(1/pi) * integral over [0, pi] of log|a + b cos(theta)| by mpmath
     quadrature, split at the log singularity acos(-a/b) when a <= b: an

@@ -15,7 +15,7 @@ from lderiv import special as sp
 from lderiv.errors import DomainError, NearZeroError, PoleError, PrecisionLossError
 from lderiv.numtypes import ComplexValue
 from lderiv.special import _digamma
-from tests.conftest import cauchy_derivative, lattice_points
+from tests.conftest import cauchy_derivative, lattice_points, mp_L_pair
 
 mpmath.mp.dps = 30
 
@@ -346,7 +346,7 @@ def _ref_eval_series(chi, s, deriv):
             terms = terms * (-logn)
         total += complex(terms.sum())
         absacc += float(np.abs(terms).sum())
-    err = lf._series_tail_bound(chi, s, deriv, N) + 8e-16 * absacc
+    err = lf._series_tail_bound(chi, s, deriv, N) + (8e-16 + 2 * sp._EPS * abs(s) * math.log(N)) * absacc
     return ComplexValue(total, err)
 
 
@@ -354,6 +354,7 @@ def _ref_eval_hurwitz(chi, s, deriv):
     """q^(-s) sum_a chi(a) zeta(s, a/q), differentiated termwise if deriv."""
     d = chi.data
     vals, dvals, errs, errs_ds, _rem = sp._hurwitz_core(s, d.residues, deriv, 1e-13)
+    rel = 1e-15 + 2 * sp._EPS * abs(s) * math.log(chi.q)
     qps = cmath.exp(-s * math.log(chi.q))
     zsum = complex(np.dot(d.weights, vals))
     if deriv:
@@ -364,11 +365,18 @@ def _ref_eval_hurwitz(chi, s, deriv):
     else:
         out = qps * zsum
         err = abs(qps) * float(np.sum(errs))
-    return ComplexValue(out, err + 1e-15 * abs(out))
+    return ComplexValue(out, err + rel * abs(out))
+
+
+def _hurwitz_terms(chi, s):
+    """The A (N + 2K) terms of a Hurwitz pass at s: A residues, (N, K) the
+    policy's pair at s."""
+    N, K, _ = sp._em_params(s, 1.0 / chi.q, 1e-13)
+    return len(chi.data.residues) * (N + 2 * K)
 
 
 def _ref_eval_upper(chi, s, deriv):
-    if s.real >= 2.0 and lf._series_cutoff(chi, s, deriv, 3e-10) <= 50_000:
+    if s.real >= 2.0 and lf._series_cutoff(chi, s, deriv, 3e-10) <= _hurwitz_terms(chi, s):
         return _ref_eval_series(chi, s, deriv)
     return _ref_eval_hurwitz(chi, s, deriv)
 
@@ -431,24 +439,25 @@ def pair_chars(chi5, chi7_complex, chi23, chi229):
 
 
 def _one_cutoff_only(chi, s):
-    """Series points where L's cutoff is <= 50 000 and L''s is not."""
+    """Series points where L's cutoff is at most the terms of a Hurwitz pass
+    and L''s is not."""
     return (s.real >= 2.0
-            and lf._series_cutoff(chi, s, False, 3e-10) <= 50_000
+            and lf._series_cutoff(chi, s, False, 3e-10) <= _hurwitz_terms(chi, s)
             < lf._series_cutoff(chi, s, True, 3e-10))
 
 
-_PAIR_BANDS = (
-    ((2.0, 12.0), (-100.0, 100.0)),  # series (and Hurwitz where series is dear)
-    ((2.0, 2.4), (-100.0, 100.0)),  # where L' leaves the series before L
-    ((0.0, 2.0), (-100.0, 100.0)),  # Hurwitz
-    ((-80.0, 0.0), (-100.0, 100.0)),  # functional equation
+_PAIR_BANDS = (  # (points, real parts, imaginary parts)
+    (12, (2.0, 12.0), (-100.0, 100.0)),  # series (and Hurwitz where series is dear)
+    (24, (2.8, 5.2), (-100.0, 100.0)),  # where L' leaves the series before L
+    (12, (0.0, 2.0), (-100.0, 100.0)),  # Hurwitz
+    (12, (-80.0, 0.0), (-100.0, 100.0)),  # functional equation
 )
 
 
 def _pair_points(chi):
     pts = []
-    for x_range, y_range in _PAIR_BANDS:
-        pts += lattice_points(12, x_range, y_range)
+    for n, x_range, y_range in _PAIR_BANDS:
+        pts += lattice_points(n, x_range, y_range)
     return pts + [2.0 + 0j, 0.5 + 0j, -0.5 + 3j, -3.25 + 0j, -79.5 - 99j, 2.05 + 90j]
 
 
@@ -530,6 +539,67 @@ def test_point_cache_keys_of_the_pair(chi5, chi7_complex):
     pt = lf.eval_L_point(chi5, 1.25 + 3j)
     assert pt.L is L and len(lf._POINT_CACHE) == 2
     assert _bits(pt.Lprime) == _bits(_ref_eval_hurwitz(chi5, 1.25 + 3j, True))
+    lf.clear_cache()
+
+
+def test_one_point_cache_hits_plan_no_block(chi7_complex, monkeypatch):
+    lf.clear_cache()
+    pt = lf.eval_L_point(chi7_complex, 3.0 + 4j)
+
+    def no_block(*args):
+        raise AssertionError("a cache hit planned a block")
+
+    monkeypatch.setattr(lf, "_eval_block", no_block)
+    assert lf.eval_L(chi7_complex, 3.0 + 4j) is pt.L
+    assert lf.eval_Lprime(chi7_complex, 3.0 + 4j) is pt.Lprime
+    again = lf.eval_L_point(chi7_complex, 3.0 + 4j)
+    assert again == pt and again.L is pt.L and again.Lprime is pt.Lprime
+    lf.clear_cache()
+
+
+def test_upper_route_takes_the_series_iff_its_cutoff_is_at_most_a_hurwitz_pass(pair_chars):
+    # per entry of derivs: the series iff its cutoff <= A (N + 2K), from
+    # Re s = 2 on; the policy's pair comes back whenever a Hurwitz pass does
+    split = skipped = 0
+    for chi in pair_chars:
+        for s in _pair_points(chi):
+            if s.real < 1.0:
+                continue
+            params, parts = lf._upper_parts(chi, s, lf._PAIR)
+            by_series = {d: series for series, ds in parts for d in ds}
+            assert [d for _, ds in parts for d in ds] == list(lf._PAIR)
+            for d in lf._PAIR:
+                assert by_series[d] == (s.real >= 2.0 and lf._series_cutoff(chi, s, d, 3e-10)
+                                        <= _hurwitz_terms(chi, s)), (chi.q, s, d)
+            if s.real >= 2.0 and not all(by_series.values()):
+                assert params == sp._em_params(s, 1.0 / chi.q, 1e-13), (chi.q, s)
+            if by_series[False] and not by_series[True]:
+                assert parts == [(True, (False,)), (False, (True,))]
+                split += 1
+            skipped += params is None and s.real >= 2.0
+    assert split >= 1 and skipped >= 1  # pairs split between the routes; points the policy skips
+
+
+def test_em_params_runs_at_most_once_per_planned_point(capsys, monkeypatch):
+    from lderiv import cli
+
+    per_point = []  # _em_params calls of each planned point
+    plan, em_params = lf._plan, lf._em_params
+
+    def counting_plan(*args):
+        per_point.append(0)
+        return plan(*args)
+
+    def counting_em_params(*args):
+        per_point[-1] += 1
+        return em_params(*args)
+
+    monkeypatch.setattr(lf, "_plan", counting_plan)
+    monkeypatch.setattr(lf, "_em_params", counting_em_params)
+    lf.clear_cache()
+    assert cli.run(["verify", "all", "--q", "5", "--label", "1", "--T", "10"]) == 0
+    capsys.readouterr()
+    assert max(per_point) == 1 and per_point.count(0) > 0, (len(per_point), sum(per_point))
     lf.clear_cache()
 
 
@@ -621,7 +691,7 @@ def test_eval_many_equals_the_scalar_calls(batch_chars):
         pts, n = _batch_points(chi)
         for s in pts:
             if s.real < 0.0:
-                for series, _ in lf._upper_parts(chi.data.conj, 1.0 - s, lf._PAIR):
+                for series, _ in lf._upper_parts(chi.data.conj, 1.0 - s, lf._PAIR)[1]:
                     fe_inner[series] += 1
             split += _one_cutoff_only(chi, s)
         for derivs in (lf._PAIR, (False,), (True,)):
@@ -692,4 +762,44 @@ def test_eval_many_refuses_what_the_scalar_calls_refuse(chi5):
             lf._eval_many(chi5, pts, lf._PAIR)
         with pytest.raises(err):
             [lf.eval_L_point(chi5, s) for s in pts]
+    lf.clear_cache()
+
+
+# ----------------------------------------------------------------------
+# honest bars where the phases Im(s) log(n + a) and Im(s) log q are large
+
+def _phase_points(n):
+    """n lattice points on 1.2 <= Re s <= 4, 10 <= |Im s| <= 100, the sign of
+    Im s alternating."""
+    pts = lattice_points(n, (1.2, 4.0), (10.0, 100.0))
+    return [s if k % 2 else s.conjugate() for k, s in enumerate(pts)]
+
+
+def test_err_is_honest_at_large_imaginary_parts():
+    """|value - mpmath| <= err for L and L' on every route, at points where
+    the phase rounding of n^-s, (n + a)^-s and q^-s outgrows a bar that
+    leaves it out: a lattice for q = 19 and 49, and one point each for
+    q = 19, 49 and 229 where such a bar is broken 2-4x.  mpmath costs about
+    3 s per chi_229 point, so it has only the one.  err <= 1e-9 (1 + |value|)
+    holds on every route but the functional equation's, which serves
+    Re s < 0: here its L(1 - s) sits at Re <= -0.2, where the Hurwitz pass's
+    terms (n + a)^(s - 1) grow with n and so does their phase rounding."""
+    chi19 = next(c for c in ch.enumerate_primitive(19) if c.label == 0)
+    chi49 = next(c for c in ch.enumerate_primitive(49) if c.label == 1)
+    chi229 = ch.kronecker_character(229)
+    cases = [(chi19, s) for s in _phase_points(10) + [3.2 + 17.3j]]
+    cases += [(chi49, s) for s in _phase_points(5) + [1.355834377724591 - 28.49639380018175j]]
+    cases += [(chi229, 1.5608531989416718 - 72.06388360077871j)]
+    for chi, s in cases:
+        ref = mp_L_pair(chi, s)
+        routes = ["auto", "hurwitz", "fe"]
+        if s.real >= 1.5 and lf._series_cutoff(chi, s, True, 3e-10) <= 400_000:
+            routes.append("series")
+        for route in routes:
+            for deriv in (False, True):
+                lf.clear_cache()
+                v = lf._eval(chi, s, deriv, route)
+                assert abs(v.value - ref[deriv]) <= v.err, (chi.q, s, route, deriv)
+                if route != "fe":
+                    assert v.err <= 1e-9 * (1.0 + abs(v.value)), (chi.q, s, route, deriv)
     lf.clear_cache()

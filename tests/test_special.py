@@ -15,6 +15,7 @@ from tests.conftest import (
     hurwitz_zeta_cauchy_ds,
     lattice_points,
     log_abs_cos_mean_quad,
+    mp_L_pair,
 )
 
 mpmath.mp.dps = 30
@@ -346,10 +347,12 @@ def _ref_hurwitz_core(s: complex, a: np.ndarray, want_ds: bool, tol: float):
         raise DomainError("shift parameter a must lie in (0, 1]")
     N, K, rem = sp._choose_em_params(s, float(a.min()), tol)
     vals, dvals, absacc = _ref_em_eval(s, a, N, K, want_ds)
-    errs = rem + 8 * sp._EPS * absacc
+    # the sums' rounding and the phases' (the exponents w log x, |w| <= |s| + 1)
+    rnd = 8 * sp._EPS + 2 * sp._EPS * (abs(s) + 1.0) * math.log(N + 2.0)
+    errs = rem + rnd * absacc
     if want_ds:
-        # differentiated series: remainder picks up roughly a log x factor
-        errs_ds = rem * (math.log(N + 1.0) + 2.0 * (2 * K + 1)) + 8 * sp._EPS * absacc * (
+        # differentiated series: remainder and rounding pick up roughly a log x factor
+        errs_ds = rem * (math.log(N + 1.0) + 2.0 * (2 * K + 1)) + rnd * absacc * (
             math.log(N + 2.0) + 1.0
         )
         return vals, dvals, errs, errs_ds, rem
@@ -486,25 +489,6 @@ def test_em_eval_batch_rows_equal_scalar_calls():
                     assert _same_bytes(None if d is None else dvals[i], d), (s, N, K)
 
 
-def _mp_L_pair(chi, s):
-    """(L, L')(s, chi) by mpmath's Hurwitz zeta with exact character values.
-    The working precision grows near s = 1, where the residues' 1/(s - 1)
-    and 1/(s - 1)^2 parts cancel."""
-    q = chi.q
-    with mpmath.workdps(20 + 2 * max(0, round(-math.log10(abs(s - 1.0))))):
-        z = mpmath.mpc(s.real, s.imag)
-        zsum = dsum = 0
-        for a in range(1, q):
-            if chi.exponents[a] is None:
-                continue
-            w = mpmath.expjpi(mpmath.mpf(2 * chi.exponents[a]) / chi.order)
-            x = mpmath.mpf(a) / q
-            zsum += w * mpmath.zeta(z, x)
-            dsum += w * mpmath.zeta(z, x, 1)
-        qs = mpmath.power(q, -z)
-        return complex(qs * zsum), complex(qs * (dsum - mpmath.log(q) * zsum))
-
-
 # the ring |s - 1| = 10^-k around the removable point s = 1
 _RING = [1.0 + 10.0 ** -k * cmath.exp(1j * (0.7 + 2.1 * k)) for k in range(3, 11)]
 
@@ -523,7 +507,7 @@ def test_hurwitz_grid_err_is_honest_and_guarded(chi5, chi7_complex, chi229):
         S = np.array(pts)
         got = [lf._grid_eval(chi, S, deriv) for deriv in (False, True)]
         for k in checked or range(len(pts)):
-            for (vals, errs), ref in zip(got, _mp_L_pair(chi, pts[k])):
+            for (vals, errs), ref in zip(got, mp_L_pair(chi, pts[k])):
                 assert abs(vals[k] - ref) <= errs[k], (chi.q, pts[k], abs(vals[k] - ref), errs[k])
                 if abs(pts[k] - 1.0) > 0.5e-3:
                     assert errs[k] <= 1e-9 * (1.0 + abs(vals[k])), (chi.q, pts[k], errs[k])
