@@ -8,7 +8,8 @@ Continuation strategy (route="auto"):
               at most the A (N + 2K) terms of a Hurwitz pass (A residues,
               (N, K) the Euler-Maclaurin pair at s); else the Hurwitz route;
   0 <= Re s < 2   q^(-s) * sum_a chi(a) zeta(s, a/q) via Euler-Maclaurin
-              Hurwitz zeta;
+              Hurwitz zeta, but within 1/8 of s = 1 (where the per-residue
+              pole terms cancel) via special.hurwitz_grid, forced or not;
   Re s < 0    the functional equation L(s,chi) = F(s,chi) L(1-s, conj chi),
               with L(1-s) evaluated in the half-plane Re >= 1 by the two
               routes above.
@@ -32,12 +33,12 @@ cached returns them without planning a block.  L and L' at the same point
 come from one pass of a route: one Euler-Maclaurin engine result (whose
 d/ds pass yields L bit for bit), one array of Dirichlet-series terms summed
 to each value's own cutoff, or one F(s) with one L(1-s), L'(1-s) pair,
-which is not cached.  The Hurwitz-engine work of a block of points -- the
-Hurwitz route and the functional equation's inner L(1-s), L'(1-s) -- goes
-through the engine in one call per chunk of points that share (N, K) (one
-point alone takes the engine's scalar form); the series route and F(s)
-stay one call per point.  Every value and bar is the same bytes however
-the points are batched.
+which is not cached (near s = 1, one hurwitz_grid call each).  The
+Hurwitz-engine work of a block of points -- the Hurwitz route and the
+functional equation's inner L(1-s), L'(1-s) -- goes through the engine in
+one call per chunk of points that share (N, K) (one point alone takes the
+engine's scalar form); the series route and F(s) stay one call per point.
+Every value and bar is the same bytes however the points are batched.
 
 eval_L_grid and eval_Lprime_grid serve arrays of points with Re s > 0 (the
 zero oracle's grids) outside the point cache: one special.hurwitz_grid call
@@ -59,8 +60,10 @@ from .errors import DomainError, NearZeroError, NumericalError, PoleError, Preci
 from .numtypes import ComplexValue
 from .special import (
     _EPS,
+    _POLE_DISK,
+    _choose_em_params,
     _digamma,
-    _em_params,
+    _em_candidates,
     _hurwitz_core_many,
     hurwitz_grid,
     log_gamma,
@@ -322,7 +325,7 @@ def eval_F(chi: DirichletCharacter, s: complex) -> FunctionalEquationFactor:
 def _em_pair(chi: DirichletCharacter, s: complex) -> tuple:
     """The engine's (N, K, rem) for a Hurwitz pass at s: 1/q is the smallest
     residue a/q (a = 1)."""
-    return _em_params(s, 1.0 / chi.q, 1e-13)
+    return _choose_em_params(s, 1.0 / chi.q, 1e-13)
 
 
 def _upper_parts(chi: DirichletCharacter, s: complex, derivs: tuple) -> tuple:
@@ -333,18 +336,18 @@ def _upper_parts(chi: DirichletCharacter, s: complex, derivs: tuple) -> tuple:
     At Re s >= 2 an entry of derivs takes the Dirichlet series iff its
     cutoff is at most the A (N + 2K) terms of a Hurwitz pass, with A the
     residues and (N, K) the policy's pair at s; below, every entry takes
-    Hurwitz.  The policy runs only when some cutoff exceeds
-    A (max(20, ceil(1.3 |t|)) + 12), its smallest N + 2K at Re s >= 2, and
-    its pair then serves the Hurwitz pass too.  The choice is made per
-    entry (L' needs more series terms than L); entries that share a route
-    share one pass.
+    Hurwitz.  The policy runs only when some cutoff exceeds A (N + 2K) for
+    the smallest of its candidate N and K (special._em_candidates), and its
+    pair then serves the Hurwitz pass too.  The choice is made per entry
+    (L' needs more series terms than L); entries sharing a route share a pass.
     """
     params = None
     by_series = [False] * len(derivs)
     if s.real >= 2.0:
         A = len(chi.data.residues)
         cuts = [_series_cutoff(chi, s, deriv, 3e-10) for deriv in derivs]
-        by_series = [n <= A * (max(20, math.ceil(1.3 * abs(s.imag))) + 12) for n in cuts]
+        ns, ks = _em_candidates(s)
+        by_series = [n <= A * (ns[0] + 2 * ks[0]) for n in cuts]
         if not all(by_series):
             params = _em_pair(chi, s)
             by_series = [n <= A * (params[0] + 2 * params[1]) for n in cuts]
@@ -381,9 +384,14 @@ _ROUTES = ("series", "hurwitz", "fe")  # the routes a caller may force
 
 
 def _leaf(leaves: list, chi: DirichletCharacter, s: complex, derivs: tuple,
-          params: Optional[tuple] = None) -> int:
+          params: Optional[tuple] = None) -> int | tuple:
     """Defer a Hurwitz pass at s to leaves, with the engine's (N, K, rem)
-    for it (params, or _em_pair's when None): its index."""
+    for it (params, or _em_pair's when None): its index; or within _POLE_DISK
+    of s = 1, _grid_eval's values, whose expm1 pole term does not cancel (one
+    point a call, as a grid's (N, K) depends on all of its points)."""
+    if abs(s - 1.0) < _POLE_DISK:
+        return tuple(ComplexValue(complex(v[0]), float(e[0]))
+                     for v, e in (_grid_eval(chi, [s], d) for d in derivs))
     leaves.append((chi, s, derivs, _em_pair(chi, s) if params is None else params))
     return len(leaves) - 1
 
@@ -439,10 +447,10 @@ def _eval_block(chi: DirichletCharacter, points: list, derivs: tuple, route: str
     cache, plans the rest of the point on the functional equation below
     Re s = 0, the upper route (_upper_parts) from Re s = 2 on and Hurwitz
     between, and caches what it evaluates; the _ROUTES plan every point on
-    that route and touch no cache.  The Hurwitz passes go through
-    special._hurwitz_core_many together.  Points are checked and planned in
-    order, so the first one refused raises: outside the window, an unknown
-    route, or its route's own refusal."""
+    that route and touch no cache.  The Hurwitz passes (but near s = 1, see
+    _leaf) go through special._hurwitz_core_many together.  Points are
+    checked and planned in order, so the first one refused raises: outside
+    the window, an unknown route, or its route's own refusal."""
     got: dict = {}  # (s, deriv) -> value, for the answer
     todo: dict = {}  # s -> (derivs to evaluate, (F, F') or None, passes)
     leaves: list = []  # (character, point, derivs, (N, K, rem)) of each Hurwitz pass
@@ -521,13 +529,14 @@ def eval_L_points(chi: DirichletCharacter, points) -> list[LPoint]:
     return [_lpoint(s, L, Lp) for s, (L, Lp) in zip(points, _eval_many(chi, points, _PAIR))]
 
 
+def _quotient(Lp: ComplexValue, L: ComplexValue) -> ComplexValue:
+    """Lp / L, with the bar (Lp.err + |Lp / L| L.err) / |L|."""
+    val = Lp.value / L.value
+    return ComplexValue(val, (Lp.err + abs(val) * L.err) / abs(L.value))
+
+
 def _lpoint(s, L: ComplexValue, Lp: ComplexValue) -> LPoint:
-    if abs(L.value) <= NOISE_FLOOR * (1.0 + abs(Lp.value)):
-        logderiv = None
-    else:
-        val = Lp.value / L.value
-        err = (Lp.err + abs(val) * L.err) / abs(L.value)
-        logderiv = ComplexValue(val, err)
+    logderiv = None if abs(L.value) <= NOISE_FLOOR * (1.0 + abs(Lp.value)) else _quotient(Lp, L)
     return LPoint(s=s, L=L, Lprime=Lp, logderiv=logderiv, err=max(L.err, Lp.err))
 
 
@@ -546,10 +555,9 @@ def eval_logderiv_via_fteq(chi: DirichletCharacter, s: complex) -> ComplexValue:
     if s.imag == 0.0 and abs(cmath.sin(w)) < 1e-13:
         raise PoleError(f"cot pole (trivial zero of L) at s = {s}")
     [(Lb, Lbp)] = _eval_many(chi.data.conj, [1.0 - s], _PAIR)
-    ld = Lbp.value / Lb.value
-    ld_err = (Lbp.err + abs(ld) * Lb.err) / abs(Lb.value)
-    val = -ld - math.log(chi.q / (2.0 * math.pi)) - _digamma(1.0 - s) + (cmath.pi / 2.0) * _cot(w)
-    return ComplexValue(val, ld_err + 1e-12 * (1.0 + abs(val)))
+    ld = _quotient(Lbp, Lb)
+    val = -ld.value - math.log(chi.q / (2.0 * math.pi)) - _digamma(1.0 - s) + (cmath.pi / 2.0) * _cot(w)
+    return ComplexValue(val, ld.err + 1e-12 * (1.0 + abs(val)))
 
 
 def gest_bound(m: int, sigma: float) -> float:

@@ -199,11 +199,8 @@ def _em_bound(part, log_x: float) -> float:
     return math.exp(log_r) if log_r < 700 else math.inf
 
 
-def _choose_em_params(s: complex, a_min: float, tol: float) -> tuple[int, int, float]:
-    """Pick (N, K) whose remainder bound meets tol, minimizing the rounding
-    estimate among those; otherwise minimize remainder + rounding.
-
-    Returns (N, K, remainder bound of that pair)."""
+def _em_candidates(s: complex) -> tuple[list, list]:
+    """The ascending N and K (at most 59) that _choose_em_params weighs at s."""
     sigma, t = s.real, abs(s.imag)
     k_min = max(6, math.ceil((3.0 - sigma) / 2.0))
     n_base = max(1, math.ceil(1.3 * t))
@@ -213,7 +210,17 @@ def _choose_em_params(s: complex, a_min: float, tol: float) -> tuple[int, int, f
         n_cands = sorted({max(2, n_base), max(4, n_base), max(6, n_base), max(8, n_base),
                           max(12, n_base), max(16, n_base), max(24, n_base),
                           max(32, n_base), max(64, 2 * n_base)})
-    Ks = [K for K in (k_min, k_min + 6, k_min + 14, k_min + 24) if K <= 59]
+    return n_cands, [K for K in (k_min, k_min + 6, k_min + 14, k_min + 24) if K <= 59]
+
+
+def _choose_em_params(s: complex, a_min: float, tol: float) -> tuple[int, int, float]:
+    """Pick (N, K) of _em_candidates(s) whose remainder bound meets tol,
+    minimizing the rounding estimate among those; otherwise minimize
+    remainder + rounding.
+
+    Returns (N, K, remainder bound of that pair)."""
+    sigma = s.real
+    n_cands, Ks = _em_candidates(s)
     if not Ks:
         raise PrecisionLossError(f"no Euler-Maclaurin K <= 59 serves s = {s}", math.inf)
     # per N: log x_min and the rounding peak max(1, x_min^-sigma)
@@ -321,25 +328,22 @@ def _em_eval(s, a: np.ndarray, N: int, K: int, want_ds: bool):
 
 
 def _hurwitz_core(s: complex, a: np.ndarray, want_ds: bool, tol: float):
-    """(vals, dvals, errs, errs_ds, rem): engine with per-point error estimates.
+    """(vals, dvals, errs, errs_ds, rem): engine with per-point error estimates
+    for the per-residue hurwitz_zeta, (N, K) from _choose_em_params; PoleError
+    at s = 1, the pole of every zeta(s, a), reported before the shifts.
 
     errs combine the proven remainder bound with a conservative rounding
     term; rem is the remainder bound alone (what the (N, K) policy controls).
     """
     s = complex(s)
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    if s != 1.0 and (np.any(a <= 0.0) or np.any(a > 1.0)):  # the pole is reported first
-        raise DomainError("shift parameter a must lie in (0, 1]")
-    N, K, rem = _em_params(s, float(a.min()), tol)
-    [(_, out)] = _hurwitz_core_many([s], [(N, K, rem)], a, want_ds)
-    return out + (rem,)
-
-
-def _em_params(s: complex, a_min: float, tol: float) -> tuple[int, int, float]:
-    """_choose_em_params at s; PoleError at s = 1, the pole of every zeta(s, a)."""
     if s == 1.0:
         raise PoleError("Hurwitz zeta pole at s = 1")
-    return _choose_em_params(s, a_min, tol)
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    if np.any(a <= 0.0) or np.any(a > 1.0):
+        raise DomainError("shift parameter a must lie in (0, 1]")
+    N, K, rem = _choose_em_params(s, float(a.min()), tol)
+    [(_, out)] = _hurwitz_core_many([s], [(N, K, rem)], a, want_ds)
+    return out + (rem,)
 
 
 def _em_rounding(s: complex, N: int) -> float:
@@ -379,7 +383,7 @@ _BATCH_ENTRIES = 1 << 16  # bounds a batch chunk's C * A * N engine entries (1 M
 
 def _hurwitz_core_many(S, params, a: np.ndarray, want_ds: bool):
     """_hurwitz_core's (vals, dvals, errs, errs_ds) at each point of the list
-    S, whose (N, K, rem) _em_params gave as params, yielded as (i, tuple) and
+    S, whose (N, K, rem) _choose_em_params gave as params, yielded as (i, tuple) and
     bit for bit the scalar calls: the points are grouped by (N, K), and each
     group goes through the engine's array form in chunks of at most
     _BATCH_ENTRIES entries of C * A * N; one point alone takes the scalar
@@ -547,20 +551,17 @@ def hurwitz_grid(sigma: np.ndarray, t: np.ndarray, q: int, f: np.ndarray,
     exp(-i t log m), and f(a) tau^k exp(-i t log X_a)), and the pole term is
     a second product of A columns.  Requested points within _POLE_DISK of
     s = 1 take the pole term from _pole_near, where the separated form would
-    cancel; the other entries of the product are computed but not used.
+    cancel (as f sums to 0, Z is entire, s = 1 included); the other entries
+    of the product are computed but not used.
 
-    Raises DomainError for sigma <= 0 or f that does not sum to 0, PoleError
-    for a requested point within 1e-12 of s = 1, and PrecisionLossError when
-    no N <= 4000 brings the remainder bound down to _GRID_TOL.
+    Raises DomainError for sigma <= 0 or f that does not sum to 0, and
+    PrecisionLossError when no N <= 4000 brings the remainder bound to _GRID_TOL.
     """
     sigma = np.asarray(sigma, dtype=float).ravel()
     t = np.asarray(t, dtype=float).ravel()
     rows, cols = np.asarray(rows).ravel(), np.asarray(cols).ravel()
     if not sigma.min() > 0.0:
         raise DomainError("hurwitz_grid serves only Re s > 0")
-    near = np.flatnonzero((np.abs(sigma - 1.0) < 1e-12)[rows] & (np.abs(t) < 1e-12)[cols])
-    if np.any(np.abs(sigma[rows[near]] - 1.0 + 1j * t[cols[near]]) < 1e-12):
-        raise PoleError("a requested grid point lies within 1e-12 of the pole s = 1")
     f = np.asarray(f, dtype=complex)
     a = np.flatnonzero(f[np.arange(1, q + 1) % q]) + 1
     w = f[a % q]

@@ -20,11 +20,11 @@ from .characters import DirichletCharacter, kronecker_character
 from .errors import DomainError
 from .lfunc import (
     SIGMA_MAX,
+    _quotient,
     eval_L_point,
     eval_L_points,
     logderiv_euler_product,
 )
-from .numtypes import ComplexValue
 from .report import VerificationReport
 from .special import (
     EULER_GAMMA,
@@ -310,12 +310,9 @@ def check_distance_sum_asymptotic(
 
 def _logderiv_ratio(chi: DirichletCharacter):
     """s -> L'/L(s) with its bar, and its many-point form f.many (the walker
-    batches its first samples of each piece through it)."""
-    def ratio(pt) -> ComplexValue:
-        v = pt.Lprime.value / pt.L.value
-        err = (pt.Lprime.err + abs(v) * pt.L.err) / abs(pt.L.value)
-        return ComplexValue(v, err)
-
+    batches its first samples of each piece through it).  Unlike
+    LPoint.logderiv it has no noise floor: the winding needs every sample."""
+    ratio = lambda pt: _quotient(pt.Lprime, pt.L)
     f = lambda s: ratio(eval_L_point(chi, s))
     f.many = lambda points: [ratio(pt) for pt in eval_L_points(chi, points)]
     return f

@@ -246,13 +246,13 @@ def arg_variation(
 ) -> float:
     """Continuous variation of arg f along the contour, in radians.
 
-    mesh scales the initial sampling density (0.5 = twice as dense).  When
-    f has a many-point form f.many(points), each piece's initial samples go
-    through it in one call.  Raises BoundaryZeroError when refinement cannot
-    separate f from 0.
+    mesh scales the initial sampling density (0.5 = twice as dense).  Each
+    piece's initial samples go in one call through f's many-point form
+    f.many(points), or one f call each when f has none.  Raises
+    BoundaryZeroError when refinement cannot separate f from 0.
     """
     pieces = contour.pieces() if isinstance(contour, Contour) else list(contour)
-    many = getattr(f, "many", None)
+    many = getattr(f, "many", lambda points: [f(p) for p in points])
     total = 0.0
     evals = 0
 
@@ -261,10 +261,6 @@ def arg_variation(
         evals += n
         if evals > _MAX_EVALS:
             raise NumericalError("argument walker exceeded its evaluation budget")
-
-    def get(piece, u):
-        spend(1)
-        return _as_val(f(piece.point(u)))
 
     for piece in pieces:
         length = piece.length
@@ -275,11 +271,8 @@ def arg_variation(
         else:
             n0 = max(2, int(length / (0.35 * mesh)) + 1)
         us = [i / n0 for i in range(n0 + 1)]
-        if many is None:
-            vals = [get(piece, u) for u in us]
-        else:
-            spend(len(us))
-            vals = [_as_val(v) for v in many([piece.point(u) for u in us])]
+        spend(len(us))
+        vals = [_as_val(v) for v in many([piece.point(u) for u in us])]
         stack = list(zip(us[:-1], vals[:-1], us[1:], vals[1:]))
         min_du = 1e-11
         while stack:
@@ -297,7 +290,8 @@ def arg_variation(
                     "phase unresolvable: zero on or next to the contour", piece.point((u0 + u1) / 2)
                 )
             um = 0.5 * (u0 + u1)
-            vm = get(piece, um)
+            spend(1)
+            vm = _as_val(f(piece.point(um)))
             stack.append((um, vm, u1, (v1, e1)))
             stack.append((u0, (v0, e0), um, vm))
     return total
@@ -824,8 +818,6 @@ def _grid_candidates(chi, T, threshold) -> list[complex]:
     for start in range(0, len(ts), band):
         tchunk = ts[start : start + band]
         S = sig[None, :] + 1j * tchunk[:, None]
-        # the grid raises PoleError within 1e-12 of s = 1; nudge such points
-        S = np.where(np.abs(S - 1.0) < 1e-9, S + 5e-8, S)
         vals, errs = _grid_eval(chi, S.ravel(), True)
         if errs.max() > threshold / 1000:
             raise PrecisionLossError(

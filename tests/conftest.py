@@ -74,6 +74,28 @@ def mp_L_pair(chi, s):
         return complex(qs * zsum), complex(qs * (dsum - mpmath.log(q) * zsum))
 
 
+def mp_L_at_one(chi, h=1e-12):
+    """References for (L, L')(1, chi), where each zeta(s, a) of mp_L_pair has
+    its pole: ((L(1 + h), h |L'(1 + h)|), (L'(1 + h), h |L''(1 + h)|)), each
+    value with the allowance for the step from 1 + h to 1.  The working
+    precision covers the cancelling 1/(s - 1)^3 parts of the residues' d^2/ds^2."""
+    q = chi.q
+    with mpmath.workdps(20 + 3 * round(-math.log10(h))):
+        z = 1 + mpmath.mpf(h)
+        sums = [0, 0, 0]  # sum_a chi(a) d^k/ds^k zeta(s, a/q), k = 0, 1, 2
+        for a in range(1, q):
+            if chi.exponents[a] is None:
+                continue
+            w = mpmath.expjpi(mpmath.mpf(2 * chi.exponents[a]) / chi.order)
+            for k in range(3):
+                sums[k] += w * mpmath.zeta(z, mpmath.mpf(a) / q, k)
+        lq, qs = mpmath.log(q), mpmath.power(q, -z)
+        L = complex(qs * sums[0])
+        Lp = complex(qs * (sums[1] - lq * sums[0]))
+        Lpp = complex(qs * (sums[2] - 2 * lq * sums[1] + lq ** 2 * sums[0]))
+    return (L, h * abs(Lp)), (Lp, h * abs(Lpp))
+
+
 def log_abs_cos_mean_quad(a, b):
     """(1/pi) * integral over [0, pi] of log|a + b cos(theta)| by mpmath
     quadrature, split at the log singularity acos(-a/b) when a <= b: an

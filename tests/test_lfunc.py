@@ -15,7 +15,7 @@ from lderiv import special as sp
 from lderiv.errors import DomainError, NearZeroError, PoleError, PrecisionLossError
 from lderiv.numtypes import ComplexValue
 from lderiv.special import _digamma
-from tests.conftest import cauchy_derivative, lattice_points, mp_L_pair
+from tests.conftest import cauchy_derivative, lattice_points, mp_L_at_one, mp_L_pair
 
 mpmath.mp.dps = 30
 
@@ -371,7 +371,7 @@ def _ref_eval_hurwitz(chi, s, deriv):
 def _hurwitz_terms(chi, s):
     """The A (N + 2K) terms of a Hurwitz pass at s: A residues, (N, K) the
     policy's pair at s."""
-    N, K, _ = sp._em_params(s, 1.0 / chi.q, 1e-13)
+    N, K, _ = sp._choose_em_params(s, 1.0 / chi.q, 1e-13)
     return len(chi.data.residues) * (N + 2 * K)
 
 
@@ -572,7 +572,7 @@ def test_upper_route_takes_the_series_iff_its_cutoff_is_at_most_a_hurwitz_pass(p
                 assert by_series[d] == (s.real >= 2.0 and lf._series_cutoff(chi, s, d, 3e-10)
                                         <= _hurwitz_terms(chi, s)), (chi.q, s, d)
             if s.real >= 2.0 and not all(by_series.values()):
-                assert params == sp._em_params(s, 1.0 / chi.q, 1e-13), (chi.q, s)
+                assert params == sp._choose_em_params(s, 1.0 / chi.q, 1e-13), (chi.q, s)
             if by_series[False] and not by_series[True]:
                 assert parts == [(True, (False,)), (False, (True,))]
                 split += 1
@@ -583,8 +583,8 @@ def test_upper_route_takes_the_series_iff_its_cutoff_is_at_most_a_hurwitz_pass(p
 def test_em_params_runs_at_most_once_per_planned_point(capsys, monkeypatch):
     from lderiv import cli
 
-    per_point = []  # _em_params calls of each planned point
-    plan, em_params = lf._plan, lf._em_params
+    per_point = []  # _choose_em_params calls of each planned point
+    plan, em_params = lf._plan, lf._choose_em_params
 
     def counting_plan(*args):
         per_point.append(0)
@@ -595,7 +595,7 @@ def test_em_params_runs_at_most_once_per_planned_point(capsys, monkeypatch):
         return em_params(*args)
 
     monkeypatch.setattr(lf, "_plan", counting_plan)
-    monkeypatch.setattr(lf, "_em_params", counting_em_params)
+    monkeypatch.setattr(lf, "_choose_em_params", counting_em_params)
     lf.clear_cache()
     assert cli.run(["verify", "all", "--q", "5", "--label", "1", "--T", "10"]) == 0
     capsys.readouterr()
@@ -610,7 +610,8 @@ def test_grid_values_do_not_depend_on_the_product_around_them(chi5, chi7_complex
     """_grid_eval evaluates the product of the distinct real x imaginary parts
     of S.  Its entries that S does not hold raise nothing and warn nothing, and
     each value equals the point's own 1 x 1 evaluation within the two bars."""
-    # an oracle band through t = 0, nudged off s = 1 as the oracle does
+    # an oracle band through t = 0, its point next to s = 1 nudged by 5e-8 (as
+    # the oracle once did), so that the product holds a point S does not
     sig = np.arange(0.02, 7.39, 0.02)
     ts = np.arange(-10.04, 10.05, 0.02)[482:522]
     S = (sig[None, :] + 1j * ts[:, None]).ravel()
@@ -755,8 +756,9 @@ def test_eval_L_points_equals_eval_L_point(chi7_complex):
 
 def test_eval_many_refuses_what_the_scalar_calls_refuse(chi5):
     # the first refused point in order decides the error, as in a loop
-    for pts, err in (([0.5 + 1j, 1.0 + 0j, 90.0 + 0j], PoleError),
-                     ([0.5 + 1j, 90.0 + 0j, 1.0 + 0j], PrecisionLossError)):
+    bad = complex(math.inf, 0.0)
+    for pts, err in (([0.5 + 1j, bad, 90.0 + 0j], DomainError),
+                     ([0.5 + 1j, 90.0 + 0j, bad], PrecisionLossError)):
         lf.clear_cache()
         with pytest.raises(err):
             lf._eval_many(chi5, pts, lf._PAIR)
@@ -802,4 +804,44 @@ def test_err_is_honest_at_large_imaginary_parts():
                 assert abs(v.value - ref[deriv]) <= v.err, (chi.q, s, route, deriv)
                 if route != "fe":
                     assert v.err <= 1e-9 * (1.0 + abs(v.value)), (chi.q, s, route, deriv)
+    lf.clear_cache()
+
+
+def _rings_around_1():
+    """Points on |s - 1| = 10^-k, k = 2, 4, ..., 12, two per ring (one on the
+    real axis, alternately right and left of 1), and two on |s - 1| = 0.13,
+    just outside the disk where the Hurwitz pass comes from the grid."""
+    pts = []
+    for k in range(2, 13, 2):
+        r = 10.0 ** -k
+        pts += [1.0 + r * cmath.exp(1j * (0.7 + 2.1 * k)), 1.0 + r * (-1) ** (k // 2)]
+    return pts + [1.0 + 0.13 * cmath.exp(0.4j), 1.0 + 0.13 * cmath.exp(2.5j)]
+
+
+def test_err_is_honest_around_s_equals_1(chi5, chi7_complex, chi23, chi229):
+    """L and L' are entire at s = 1 for primitive chi, and the auto and forced
+    Hurwitz routes hold them to |value - ref| <= err <= 1e-9 (1 + |value|) at
+    s = 1, on rings |s - 1| = 10^-k down to 1e-12 and just outside the grid's
+    disk.  At s = 1 the references are L(1, chi_5) = 2 log(phi) / sqrt 5 and
+    L(1, chi_-23) = 3 pi / sqrt 23, else mpmath at 1 + 1e-12 with the
+    allowance 1e-12 |L'| or 1e-12 |L''| (mp_L_at_one).  mpmath costs about
+    2 s per chi_229 point, so it has three."""
+    closed = {5: 2.0 * math.log((1.0 + math.sqrt(5.0)) / 2.0) / math.sqrt(5.0),
+              23: 3.0 * math.pi / math.sqrt(23.0)}
+    rings = _rings_around_1()
+    cases = [(chi, s) for chi in (chi5, chi7_complex, chi23) for s in [1.0 + 0j] + rings]
+    cases += [(chi229, s) for s in (rings[0], rings[5], rings[-1])]
+    for chi, s in cases:
+        if s == 1.0:
+            refs = list(mp_L_at_one(chi))
+            if chi.q in closed:
+                refs[0] = (closed[chi.q], 0.0)
+        else:
+            refs = [(ref, 0.0) for ref in mp_L_pair(chi, s)]
+        for route in ("auto", "hurwitz"):
+            for deriv, (ref, allowance) in zip((False, True), refs):
+                lf.clear_cache()
+                v = lf._eval(chi, s, deriv, route)
+                assert abs(v.value - ref) <= v.err + allowance, (chi.q, s, route, deriv)
+                assert v.err <= 1e-9 * (1.0 + abs(v.value)), (chi.q, s, route, deriv)
     lf.clear_cache()

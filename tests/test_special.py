@@ -15,6 +15,7 @@ from tests.conftest import (
     hurwitz_zeta_cauchy_ds,
     lattice_points,
     log_abs_cos_mean_quad,
+    mp_L_at_one,
     mp_L_pair,
 )
 
@@ -494,10 +495,11 @@ _RING = [1.0 + 10.0 ** -k * cmath.exp(1j * (0.7 + 2.1 * k)) for k in range(3, 11
 
 
 def test_hurwitz_grid_err_is_honest_and_guarded(chi5, chi7_complex, chi229):
-    """|grid - mpmath| <= err for L and L' over 0 < Re s <= 8, |Im s| <= 101
-    and on the ring; off the ring err <= 1e-9 (1 + |value|).  chi_229's 228
-    residues split its call into several sigma- and t-chunks; mpmath costs
-    about 2 s per chi_229 point, so only four of its points are checked."""
+    """|grid - mpmath| <= err for L and L' over 0 < Re s <= 8, |Im s| <= 101,
+    on the ring and at s = 1; off the ring err <= 1e-9 (1 + |value|).
+    chi_229's 228 residues split its call into several sigma- and t-chunks;
+    mpmath costs about 2 s per chi_229 point, so only four of its points are
+    checked."""
     window = lattice_points(16, (0.01, 8.0), (-101.0, 101.0)) + \
         [1e-3 + 101j, 8.0 - 101j, 0.5 + 0j, 2.0 - 0.5j]
     cases = [(chi5, window + _RING, None), (chi7_complex, window + _RING, None),
@@ -511,13 +513,19 @@ def test_hurwitz_grid_err_is_honest_and_guarded(chi5, chi7_complex, chi229):
                 assert abs(vals[k] - ref) <= errs[k], (chi.q, pts[k], abs(vals[k] - ref), errs[k])
                 if abs(pts[k] - 1.0) > 0.5e-3:
                     assert errs[k] <= 1e-9 * (1.0 + abs(vals[k])), (chi.q, pts[k], errs[k])
-    # the guards: Re s <= 0, a requested point at s = 1, and the N cap
+    # s = 1 and two points within 1e-12 of it, which the grid once refused:
+    # L and L' are entire there, and the bars hold them
+    at_one = mp_L_at_one(chi5)
+    for near in (1.0, 1.0 + 5e-13j, 1.0 - 9e-13):
+        refs = at_one if near == 1.0 else [(ref, 0.0) for ref in mp_L_pair(chi5, near)]
+        for deriv, (ref, allowance) in zip((False, True), refs):
+            vals, errs = lf._grid_eval(chi5, np.array([2.0 + 1j, near]), deriv)
+            assert abs(vals[1] - ref) <= errs[1] + allowance, (near, deriv, abs(vals[1] - ref), errs[1])
+            assert errs[1] <= 1e-9 * (1.0 + abs(vals[1])), (near, deriv, errs[1])
+    # the guards: Re s <= 0 and the N cap
     for bad in ([0.5 + 1j, 0j], [-0.25 + 3j]):
         with pytest.raises(DomainError):
             lf.eval_L_grid(chi5, bad)
-    for pole in (1.0, 1.0 + 5e-13j, 1.0 - 9e-13):
-        with pytest.raises(PoleError):
-            lf.eval_Lprime_grid(chi5, [2.0 + 1j, pole])
     with pytest.raises(PrecisionLossError):
         lf.eval_L_grid(chi5, [0.5 + 3e4j])
 
