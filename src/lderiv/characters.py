@@ -8,8 +8,12 @@ doubles happens only at evaluation time.
 
 Enumeration walks the exponent vectors of (Z/qZ)^* lexicographically over
 a fixed CRT generator convention (smallest primitive root per odd prime
-power; <-1, 5> for 2^k with k >= 3), keeps the primitive ones, and labels
-them 0, 1, 2, ... in that order.  Labels are therefore reproducible.
+power; <-1, 5> for 2^k with k >= 3) and labels the primitive ones 0, 1,
+2, ... in that order, so labels are reproducible.  Primitivity is read off
+the exponent vector, so tables are built for primitive characters only.
+
+A character's precomputed record (chi.data) is built on first request and
+kept on the character, so it lives exactly as long as the character does.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from typing import Optional
 from weakref import WeakValueDictionary
@@ -190,32 +194,22 @@ class DirichletCharacter:
         conj = tuple(None if k is None else (-k) % self.order for k in self.exponents)
         return _character_of_exponent_table(self.q, conj, self.order)
 
-    @property
+    @cached_property
     def data(self) -> "CharacterData":
-        """The character's precomputed record, built on first request."""
-        key = (self.q, self.label)
-        rec = _CHARACTER_DATA.get(key)
-        if rec is None:
-            rec = _CHARACTER_DATA[key] = _build_data(self)
-        return rec
-
-    def values_array(self) -> np.ndarray:
-        """chi(0..q-1) as a read-only complex numpy array."""
-        return self.data.values
-
-    @property
-    def max_partial_sum(self) -> float:
-        """max_j |sum_{n<=j} chi(n)| over one period; Abel tail bounds use it."""
-        return self.data.max_partial_sum
+        """The character's precomputed record, built on first request and
+        kept in the instance __dict__ (the frozen dataclass allows it)."""
+        return _build_data(self)
 
 
 @dataclass(frozen=True)
 class CharacterData:
     """What evaluation needs of one character, computed once; arrays read-only.
 
-    residues are a/q and weights chi(a) for the a in 1..q coprime to q (the
-    Hurwitz sum); epsilon is the root number tau(chi) / (i^kappa sqrt(q));
-    conj is the conjugate character.
+    values is chi(0..q-1); residues are a/q and weights chi(a) for the a in
+    1..q coprime to q (the Hurwitz sum); max_partial_sum is
+    max_j |sum_{n<=j} chi(n)| over one period (the Abel tail bounds);
+    epsilon is the root number tau(chi) / (i^kappa sqrt(q)); conj is the
+    conjugate character.
     """
 
     values: np.ndarray
@@ -224,9 +218,6 @@ class CharacterData:
     max_partial_sum: float
     epsilon: ComplexValue
     conj: DirichletCharacter
-
-
-_CHARACTER_DATA: dict[tuple[int, int], CharacterData] = {}
 
 
 def _build_data(chi: DirichletCharacter) -> CharacterData:
@@ -255,54 +246,25 @@ def min_coprime(q: int) -> int:
     return n
 
 
-def _conductor_of(q: int, table: tuple[Optional[int], ...], order: int) -> int:
-    """Smallest modulus d | q such that chi is trivial on a == 1 (mod d)."""
-    for d in sorted(_divisors(q)):
-        ok = True
-        for a in range(1, q, d if d > 0 else q):
-            k = table[a % q]
-            if k is not None and k % order != 0:
-                ok = False
-                break
-        if ok:
-            return d
-    return q
-
-
-def _divisors(q: int) -> list[int]:
-    divs = [1]
+def _primitive_exponents(q: int) -> list:
+    """For each cyclic factor g of unit_group(q), the exponents c with
+    chi(g) = e^(2 pi i c / order of g) that a primitive character may take:
+    chi is primitive iff no component at a prime power p^e of q factors
+    through p^(e-1).  So c != 0 for p^e = p or 4, p does not divide c for
+    odd p^e with e >= 2, and for 2^e with e >= 3 the exponent on 5 is odd
+    (any on -1).  When 2 exactly divides q no character is primitive: one
+    empty choice, so that the product of the choices is empty."""
+    out: list = []
     for p, e in _factorize(q):
-        divs = [d * p ** i for d in divs for i in range(e + 1)]
-    return divs
-
-
-@lru_cache(maxsize=32)
-def _all_exponent_tables(q: int):
-    """Every character mod q as (table mod group_exponent ... ) in label order.
-
-    Returns a list of (exponents tuple normalized to the character order,
-    order, kappa).  Order of the list is lexicographic in the generator
-    exponent vectors; used by enumerate_primitive and the orthogonality
-    tests.
-    """
-    grp = unit_group(q)
-    dlog = _dlog_table(q)
-    factor_orders = [f.order for f in grp.factors]
-    chars = []
-    for cvec in product(*[range(d) for d in factor_orders]):
-        # chi(g_i) = e^(2 pi i c_i / d_i); character order = lcm d_i/gcd(d_i,c_i)
-        order = 1
-        for c, d in zip(cvec, factor_orders):
-            order = math.lcm(order, d // math.gcd(d, c))
-        table: list[Optional[int]] = [None] * q
-        for a, vec in dlog.items():
-            k = 0
-            for c, d, x in zip(cvec, factor_orders, vec):
-                k += x * (c * order // d)  # c*order/d is exact by choice of order
-            table[a] = k % order
-        kappa = 0 if q <= 2 or table[q - 1] == 0 else 1
-        chars.append((tuple(table), order, kappa))
-    return chars
+        if p == 2:
+            if e == 1:
+                return [()]
+            out += [range(1, 2)] if e == 2 else [range(2), range(1, 2 ** (e - 2), 2)]
+        elif e == 1:
+            out.append(range(1, p - 1))
+        else:
+            out.append([c for c in range((p - 1) * p ** (e - 1)) if c % p])
+    return out
 
 
 # every character object still in use, by (q, label): a modulus enumerated
@@ -322,15 +284,24 @@ def enumerate_primitive(q: int) -> tuple[DirichletCharacter, ...]:
     """
     if q < 3:
         raise DomainError(f"q = {q} < 3: no primitive characters to enumerate")
+    dlog = _dlog_table(q)
+    factor_orders = [f.order for f in unit_group(q).factors]
     out = []
     m = min_coprime(q)
-    for table, order, kappa in _all_exponent_tables(q):
-        cond = _conductor_of(q, table, order)
-        if cond != q:
-            continue
+    for cvec in product(*_primitive_exponents(q)):
+        # chi(g_i) = e^(2 pi i c_i / d_i); character order = lcm d_i/gcd(d_i,c_i)
+        order = 1
+        for c, d in zip(cvec, factor_orders):
+            order = math.lcm(order, d // math.gcd(d, c))
+        table: list[Optional[int]] = [None] * q
+        for a, vec in dlog.items():
+            k = 0
+            for c, d, x in zip(cvec, factor_orders, vec):
+                k += x * (c * order // d)  # c*order/d is exact by choice of order
+            table[a] = k % order
         chi = DirichletCharacter(
-            q=q, exponents=table, order=order, kappa=kappa, conductor=cond,
-            m=m, is_quadratic=(order == 2), label=len(out),
+            q=q, exponents=tuple(table), order=order, kappa=0 if table[q - 1] == 0 else 1,
+            conductor=q, m=m, is_quadratic=(order == 2), label=len(out),
         )
         out.append(_LIVE.setdefault((q, chi.label), chi))
     return tuple(out)

@@ -181,21 +181,25 @@ def _series_tail_bound(chi: DirichletCharacter, s: complex, with_log: bool, N: i
     return H * abs(s) / sigma * N ** -sigma
 
 
-def _eval_series(chi: DirichletCharacter, s: complex, derivs: tuple) -> tuple:
+def _series_cutoffs(chi: DirichletCharacter, s: complex, derivs: tuple) -> tuple:
+    """The series cutoff at s of each entry of derivs (see _series_cutoff)."""
+    if s.real < 1.5:
+        raise DomainError("direct series route needs Re s >= 1.5")
+    return tuple(_series_cutoff(chi, s, deriv, 3e-10) for deriv in derivs)
+
+
+def _eval_series(chi: DirichletCharacter, s: complex, derivs: tuple, Ns: tuple) -> tuple:
     """sum chi(n) n^-s  (or -sum chi(n) log n n^-s), certified Abel tail.
 
     One value per entry of derivs (False for L, True for L'), each summed over
-    its own cutoff N from one array of terms chi(n) n^-s.  Each bar is the
-    tail bound plus the rounding of the sum, (8e-16 + 2 eps |s| log N) times
-    the summed magnitudes: np.log(n) is within one ulp (relative eps) and
-    s * log n rounds each of its parts once (eps/2), so the exponent of
-    n^-s is off by at most 1.5 eps |s| log n <= 2 eps |s| log N, which exp
-    turns into the same relative error of the term.
+    its own cutoff N in Ns (from _series_cutoffs) from one array of terms
+    chi(n) n^-s.  Each bar is the tail bound plus the rounding of the sum,
+    (8e-16 + 2 eps |s| log N) times the summed magnitudes: np.log(n) is
+    within one ulp (relative eps) and s * log n rounds each of its parts
+    once (eps/2), so the exponent of n^-s is off by at most
+    1.5 eps |s| log n <= 2 eps |s| log N, which exp turns into the same
+    relative error of the term.
     """
-    if s.real < 1.5:
-        raise DomainError("direct series route needs Re s >= 1.5")
-    tol = 3e-10
-    Ns = [_series_cutoff(chi, s, deriv, tol) for deriv in derivs]
     N_max = max(Ns)
     if N_max > _SERIES_TERM_CAP:
         raise PrecisionLossError("direct series would need too many terms", math.nan)
@@ -330,8 +334,8 @@ def _em_pair(chi: DirichletCharacter, s: complex) -> tuple:
 
 def _upper_parts(chi: DirichletCharacter, s: complex, derivs: tuple) -> tuple:
     """The upper route at s (Re s >= 1): the engine's (N, K, rem) at s, or
-    None where the policy did not run, and the passes as (by series, their
-    derivs) in derivs order.
+    None where the policy did not run, and the passes as (series cutoffs or
+    None for Hurwitz, their derivs) in derivs order.
 
     At Re s >= 2 an entry of derivs takes the Dirichlet series iff its
     cutoff is at most the A (N + 2K) terms of a Hurwitz pass, with A the
@@ -345,16 +349,19 @@ def _upper_parts(chi: DirichletCharacter, s: complex, derivs: tuple) -> tuple:
     by_series = [False] * len(derivs)
     if s.real >= 2.0:
         A = len(chi.data.residues)
-        cuts = [_series_cutoff(chi, s, deriv, 3e-10) for deriv in derivs]
+        cuts = _series_cutoffs(chi, s, derivs)
         ns, ks = _em_candidates(s)
         by_series = [n <= A * (ns[0] + 2 * ks[0]) for n in cuts]
         if not all(by_series):
             params = _em_pair(chi, s)
             by_series = [n <= A * (params[0] + 2 * params[1]) for n in cuts]
-    if all(by_series) or not any(by_series):
-        return params, [(by_series[0], derivs)]
+    if all(by_series):
+        return params, [(cuts, derivs)]
+    if not any(by_series):
+        return params, [(None, derivs)]
     # a pair split between the routes (L' needs more series terms than L)
-    return params, [(series, (deriv,)) for series, deriv in zip(by_series, derivs)]
+    return params, [((n,) if series else None, (deriv,))
+                    for series, n, deriv in zip(by_series, cuts, derivs)]
 
 
 def _fe_values(F: ComplexValue, Fp: ComplexValue, inner: tuple, derivs: tuple) -> tuple:
@@ -399,8 +406,8 @@ def _leaf(leaves: list, chi: DirichletCharacter, s: complex, derivs: tuple,
 def _upper(leaves: list, chi: DirichletCharacter, s: complex, derivs: tuple) -> list:
     """The upper route's passes at s: a value tuple or a leaf index each."""
     params, parts = _upper_parts(chi, s, derivs)
-    return [_eval_series(chi, s, part) if series else _leaf(leaves, chi, s, part, params)
-            for series, part in parts]
+    return [_leaf(leaves, chi, s, part, params) if cuts is None
+            else _eval_series(chi, s, part, cuts) for cuts, part in parts]
 
 
 def _plan(leaves: list, chi: DirichletCharacter, s: complex, derivs: tuple, route: str):
@@ -413,7 +420,7 @@ def _plan(leaves: list, chi: DirichletCharacter, s: complex, derivs: tuple, rout
         return None, _upper(leaves, chi, s, derivs)
     if route == "hurwitz":
         return None, [_leaf(leaves, chi, s, derivs)]
-    return None, [_eval_series(chi, s, derivs)]
+    return None, [_eval_series(chi, s, derivs, _series_cutoffs(chi, s, derivs))]
 
 
 def _eval(chi: DirichletCharacter, s: complex, deriv: bool, route: str) -> ComplexValue:

@@ -37,6 +37,7 @@ from .zeros import (
     Contour,
     Indentation,
     _bisect_real_logderiv,
+    _center_lemma_holds,
     _evaluator,
     count_N1_detailed,
     count_strip_detailed,
@@ -141,7 +142,7 @@ def check_region_negativity(
         bound = -1e-4
     elif region == "critical":
         grid = grid or GridSpec()
-        if (kappa == 0 and q >= 216) or (kappa == 1 and q >= 10):
+        if _center_lemma_holds(chi):
             t_lo = 0.0
         else:
             t_lo = 2.0 if kappa == 0 else 3.0

@@ -490,15 +490,14 @@ def count_N1_detailed(chi: DirichletCharacter, T: float, verify: bool = True) ->
         raise DomainError("count_N1 supports 2 <= T <= 50")
     sigma_r = max(10.0 * chi.m, 20.0)
     f = _evaluator(chi, "Lprime")
-    count, info = _count_rect_adaptive(f, 0.0, sigma_r, T)
+    count, t_shift = _count_rect_adaptive(f, 0.0, sigma_r, T)
     if verify:
-        count2, _ = _count_rect_adaptive(f, 0.0, sigma_r + 5.0, T + info["t_shift"], mesh=0.5)
+        count2, _ = _count_rect_adaptive(f, 0.0, sigma_r + 5.0, T + t_shift, mesh=0.5)
         if count2 != count:
             raise NumericalError(
                 f"N1 unstable: {count} at sigma_R={sigma_r}, {count2} at sigma_R+5"
             )
-    info["sigma_r"] = sigma_r
-    return count, info
+    return count, {"t_shift": t_shift}
 
 
 def count_N1(chi: DirichletCharacter, T: float, verify: bool = True) -> int:
@@ -507,16 +506,17 @@ def count_N1(chi: DirichletCharacter, T: float, verify: bool = True) -> int:
 
 def _count_rect_adaptive(
     f, sigma_l: float, sigma_r: float, T: float, mesh: float = 1.0
-) -> tuple[int, dict]:
+) -> tuple[int, float]:
     """Winding on (sigma_l, sigma_r) x (-T', T') with T-perturbation and
-    left-edge indentation when zeros sit on the boundary."""
+    left-edge indentation when zeros sit on the boundary: the count and
+    T' - T."""
     t_shift = 0.0
     indents: list[Indentation] = []
     for attempt in range(8):
         contour = Contour(sigma_l, sigma_r, -(T + t_shift), T + t_shift, tuple(indents))
         try:
             n = winding_count(f, contour, mesh=mesh)
-            return n, {"t_shift": t_shift, "indentations": len(indents)}
+            return n, t_shift
         except BoundaryZeroError as exc:
             z = exc.location
             if abs(abs(z.imag) - (T + t_shift)) < 1e-6:
@@ -599,6 +599,14 @@ def _illinois(f: Callable[[float], float], lo: float, flo: float, hi: float, fhi
     raise NumericalError(f"critical-line refinement did not converge on [{lo}, {hi}]")
 
 
+def _center_lemma_holds(chi: DirichletCharacter) -> bool:
+    """The center lemma's condition, (kappa = 0 and q >= 216) or
+    (kappa = 1 and q >= 10): under it Re (L'/L) < 0 on the whole critical
+    line off the zeros of L, t = 0 included, so L' vanishes there only
+    where L does."""
+    return (chi.kappa == 0 and chi.q >= 216) or (chi.kappa == 1 and chi.q >= 10)
+
+
 def count_strip_detailed(
     chi: DirichletCharacter, T: float, which: Which, mesh: float = 1.0
 ) -> tuple[int, dict]:
@@ -641,15 +649,9 @@ def count_strip_detailed(
             raise InconclusiveBoundaryError(
                 f"L vanishes on the strip contour at {exc.location}"
             ) from exc
-        info["critical_zeros"] = len(gammas)
         info["contour"] = contour
         return n - included, info
 
-    certified = (
-        (chi.kappa == 0 and chi.q >= 216)
-        or (chi.kappa == 1 and chi.q >= 10)
-    )
-    info["center_lemma_certified"] = certified
     f = _evaluator(chi, "Lprime")
     for attempt in range(4):
         contour = Contour(0.0, 0.5, -t_use, t_use)
@@ -661,7 +663,7 @@ def count_strip_detailed(
             if abs(abs(exc.location.imag) - t_use) < 1e-6:
                 t_use += 3.3e-4
                 continue
-            if certified:
+            if _center_lemma_holds(chi):
                 # lemma says no boundary zeros off the excluded set: refuse to guess
                 raise InconclusiveBoundaryError(
                     f"unexpected L' boundary zero at {exc.location}"
@@ -706,7 +708,7 @@ def _subdivide(chi, which: Which, region: Contour, count: int, mesh: float = 1.0
         sl, sr, tl, th, n = stack.pop()
         diag = math.hypot(sr - sl, th - tl)
         if n == 1 and diag < 0.75:
-            rec = _polish_cell(chi, which, sl, sr, tl, th)
+            rec = _polish_cell(f, which, sl, sr, tl, th)
             if rec is not None:
                 out.append(rec)
                 continue
@@ -743,8 +745,7 @@ def _split_cell(f, sl, sr, tl, th, n, mesh: float = 1.0):
     raise NumericalError(f"could not split cell ({sl},{sr})x({tl},{th})")
 
 
-def _polish_cell(chi, which: Which, sl, sr, tl, th) -> Optional[ZeroRecord]:
-    f = _evaluator(chi, which)
+def _polish_cell(f, which: Which, sl, sr, tl, th) -> Optional[ZeroRecord]:
     z0 = complex(0.5 * (sl + sr), 0.5 * (tl + th))
     try:
         z, last = _newton(f, z0, tol=1e-12)

@@ -198,7 +198,7 @@ def test_criterion_9_property_suites(chi5, chi7_complex):
     npow = n ** -3.0
     for q in range(3, 51):
         for chi in ch.enumerate_primitive(q):
-            direct = complex(np.sum(chi.values_array()[np.arange(1, 20001) % q] * npow))
+            direct = complex(np.sum(chi.data.values[np.arange(1, 20001) % q] * npow))
             tail = lf._series_tail_bound(chi, s, False, 20000)
             ours = lf.eval_L(chi, s, route="hurwitz").value
             assert abs(ours - direct) <= 1e-10 + tail, (q, chi.label)

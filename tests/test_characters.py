@@ -1,7 +1,9 @@
 """Character construction against independent brute-force oracles."""
 
 import cmath
+import gc
 import math
+import weakref
 from itertools import product
 
 import mpmath
@@ -126,9 +128,76 @@ def test_exact_multiplicativity_and_invariants(q):
                 assert (ka + kb) % n == kab  # exact, no floats involved
 
 
+# ----------------------------------------------------------------------
+# the full-group builder and conductor that enumeration once filtered by,
+# copied verbatim (bar the module prefix and a docstring clause on their old
+# callers): every character mod q, primitive or not, in label order
+
+def _ref_conductor_of(q, table, order):
+    """Smallest modulus d | q such that chi is trivial on a == 1 (mod d)."""
+    for d in sorted(_ref_divisors(q)):
+        ok = True
+        for a in range(1, q, d if d > 0 else q):
+            k = table[a % q]
+            if k is not None and k % order != 0:
+                ok = False
+                break
+        if ok:
+            return d
+    return q
+
+
+def _ref_divisors(q):
+    divs = [1]
+    for p, e in ch._factorize(q):
+        divs = [d * p ** i for d in divs for i in range(e + 1)]
+    return divs
+
+
+def _ref_all_exponent_tables(q):
+    """Every character mod q as (table mod group_exponent ... ) in label order.
+
+    Returns a list of (exponents tuple normalized to the character order,
+    order, kappa).  Order of the list is lexicographic in the generator
+    exponent vectors.
+    """
+    grp = ch.unit_group(q)
+    dlog = ch._dlog_table(q)
+    factor_orders = [f.order for f in grp.factors]
+    chars = []
+    for cvec in product(*[range(d) for d in factor_orders]):
+        # chi(g_i) = e^(2 pi i c_i / d_i); character order = lcm d_i/gcd(d_i,c_i)
+        order = 1
+        for c, d in zip(cvec, factor_orders):
+            order = math.lcm(order, d // math.gcd(d, c))
+        table = [None] * q
+        for a, vec in dlog.items():
+            k = 0
+            for c, d, x in zip(cvec, factor_orders, vec):
+                k += x * (c * order // d)  # c*order/d is exact by choice of order
+            table[a] = k % order
+        kappa = 0 if q <= 2 or table[q - 1] == 0 else 1
+        chars.append((tuple(table), order, kappa))
+    return chars
+
+
+def test_enumeration_matches_the_full_group_filtered_by_conductor():
+    # primitivity read off the exponent vector keeps exactly the characters
+    # of conductor q, in the same order, with the same fields
+    for q in list(range(3, 301)) + [512, 720, 997, 1000]:
+        m = ch.min_coprime(q)
+        want = [(table, order, kappa, q, m, order == 2)
+                for table, order, kappa in _ref_all_exponent_tables(q)
+                if _ref_conductor_of(q, table, order) == q]
+        got = [(c.exponents, c.order, c.kappa, c.conductor, c.m, c.is_quadratic)
+               for c in ch.enumerate_primitive(q)]
+        assert got == want, q
+        assert [c.label for c in ch.enumerate_primitive(q)] == list(range(len(want)))
+
+
 @pytest.mark.parametrize("q", [5, 7, 12, 24, 36, 200])
 def test_orthogonality_over_all_characters(q):
-    tables = ch._all_exponent_tables(q)
+    tables = _ref_all_exponent_tables(q)
     assert len(tables) == _phi(q)
     for a in _units(q):
         if a == 1:
@@ -305,8 +374,7 @@ def test_character_record_matches_the_old_helpers_bytewise():
         assert repr(rec.epsilon.value) == repr(eps.value)
         assert repr(rec.epsilon.err) == repr(eps.err)
         assert (rec.conj.label, rec.conj.exponents) == (conj.label, conj.exponents)
-        assert chi.values_array() is rec.values
-        assert chi.max_partial_sum == rec.max_partial_sum
+        assert chi.data is rec and vars(chi)["data"] is rec  # kept on the character
 
 
 def test_character_record_arrays_are_read_only(chi7_complex):
@@ -321,12 +389,30 @@ def test_character_record_is_shared_per_label():
 
 
 def test_enumeration_builds_no_record(monkeypatch):
-    memo: dict = {}
-    monkeypatch.setattr(ch, "_CHARACTER_DATA", memo)
+    built = []
+    build = ch._build_data
+    monkeypatch.setattr(ch, "_build_data", lambda chi: built.append((chi.q, chi.label)) or build(chi))
     for q in (5, 7, 49, 229):
         ch.enumerate_primitive.__wrapped__(q)
     ch.from_label(229, 3)
     ch.kronecker_character(229)
-    assert memo == {}
-    ch.from_label(5, 1).data
-    assert list(memo) == [(5, 1)]
+    assert built == []
+    chi = ch.from_label(5, 1)
+    vars(chi).pop("data", None)  # as if never asked for
+    assert chi.data is chi.data
+    assert built == [(5, 1)]
+
+
+def test_records_die_with_their_characters():
+    # more moduli than enumerate_primitive caches: once nothing holds the
+    # first modulus's characters, their records go with them
+    moduli = list(range(101, 141))
+    first = ch.enumerate_primitive(moduli[0])[0].data
+    ref = weakref.ref(first)
+    del first
+    for q in moduli:
+        for chi in ch.enumerate_primitive(q):
+            chi.data
+    del chi
+    gc.collect()
+    assert ref() is None

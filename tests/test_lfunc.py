@@ -58,7 +58,7 @@ def test_direct_series_certified_tail(chi5):
     import numpy as np
 
     n = np.arange(1, 5001, dtype=float)
-    vals = chi5.values_array()[np.arange(1, 5001) % 5]
+    vals = chi5.data.values[np.arange(1, 5001) % 5]
     partial = complex(np.sum(vals * n**-2.0))
     bound = lf._series_tail_bound(chi5, 2.0 + 0j, False, 5000)
     assert abs(lf.eval_L(chi5, 2.0).value - partial) <= bound + 1e-12
@@ -566,15 +566,19 @@ def test_upper_route_takes_the_series_iff_its_cutoff_is_at_most_a_hurwitz_pass(p
             if s.real < 1.0:
                 continue
             params, parts = lf._upper_parts(chi, s, lf._PAIR)
-            by_series = {d: series for series, ds in parts for d in ds}
+            by_series = {d: cuts is not None for cuts, ds in parts for d in ds}
             assert [d for _, ds in parts for d in ds] == list(lf._PAIR)
             for d in lf._PAIR:
                 assert by_series[d] == (s.real >= 2.0 and lf._series_cutoff(chi, s, d, 3e-10)
                                         <= _hurwitz_terms(chi, s)), (chi.q, s, d)
+            for cuts, ds in parts:  # a series pass carries its cutoffs
+                assert cuts is None or cuts == tuple(lf._series_cutoff(chi, s, d, 3e-10)
+                                                     for d in ds), (chi.q, s)
             if s.real >= 2.0 and not all(by_series.values()):
                 assert params == sp._choose_em_params(s, 1.0 / chi.q, 1e-13), (chi.q, s)
             if by_series[False] and not by_series[True]:
-                assert parts == [(True, (False,)), (False, (True,))]
+                assert [(cuts is not None, ds) for cuts, ds in parts] == [(True, (False,)),
+                                                                          (False, (True,))]
                 split += 1
             skipped += params is None and s.real >= 2.0
     assert split >= 1 and skipped >= 1  # pairs split between the routes; points the policy skips
@@ -600,6 +604,30 @@ def test_em_params_runs_at_most_once_per_planned_point(capsys, monkeypatch):
     assert cli.run(["verify", "all", "--q", "5", "--label", "1", "--T", "10"]) == 0
     capsys.readouterr()
     assert max(per_point) == 1 and per_point.count(0) > 0, (len(per_point), sum(per_point))
+    lf.clear_cache()
+
+
+def test_series_cutoff_runs_at_most_once_per_planned_point_and_deriv(capsys, monkeypatch):
+    from lderiv import cli
+
+    per_point = []  # _series_cutoff calls of each planned point, by deriv
+    plan, cutoff = lf._plan, lf._series_cutoff
+
+    def counting_plan(*args):
+        per_point.append({False: 0, True: 0})
+        return plan(*args)
+
+    def counting_cutoff(chi, s, with_log, tol):
+        per_point[-1][with_log] += 1
+        return cutoff(chi, s, with_log, tol)
+
+    monkeypatch.setattr(lf, "_plan", counting_plan)
+    monkeypatch.setattr(lf, "_series_cutoff", counting_cutoff)
+    lf.clear_cache()
+    assert cli.run(["verify", "all", "--q", "5", "--label", "1", "--T", "10"]) == 0
+    capsys.readouterr()
+    counts = [n for calls in per_point for n in calls.values()]
+    assert max(counts) == 1 and sum(counts) > 0, (len(per_point), sum(counts))
     lf.clear_cache()
 
 
@@ -692,8 +720,8 @@ def test_eval_many_equals_the_scalar_calls(batch_chars):
         pts, n = _batch_points(chi)
         for s in pts:
             if s.real < 0.0:
-                for series, _ in lf._upper_parts(chi.data.conj, 1.0 - s, lf._PAIR)[1]:
-                    fe_inner[series] += 1
+                for cuts, _ in lf._upper_parts(chi.data.conj, 1.0 - s, lf._PAIR)[1]:
+                    fe_inner[cuts is not None] += 1
             split += _one_cutoff_only(chi, s)
         for derivs in (lf._PAIR, (False,), (True,)):
             for warm in (False, True):

@@ -5,8 +5,9 @@ so a rename would quietly zero its metrics.  The list is kept here, not
 imported from perfbench, so that the Tier-1 suite needs nothing outside
 lderiv.  (The tracer also names special._em_eval_grid, which was merged
 into _em_eval, and lfunc._eval_hurwitz and lfunc._eval_fe, which were
-folded into the block planner lfunc._eval_block; their counters read 0
-since then.)
+folded into the block planner lfunc._eval_block, and the methods
+DirichletCharacter.values_array and max_partial_sum, whose callers now
+read chi.data; their counters read 0 since then.)
 """
 
 import inspect
@@ -29,7 +30,7 @@ _WRAPPED = {
     cli: ("run",),
 }
 
-_METHODS = ("conjugate", "values_array", "max_partial_sum")
+_METHODS = ("conjugate",)
 
 # arguments the tracer reads by position: (module, function, position, name)
 _READ_ARGS = (

@@ -59,6 +59,34 @@ def test_indentation_sides_enclose_or_exclude():
     assert not left2.encloses(0j) and right2.encloses(0j)
 
 
+def test_rectangle_count_recovers_from_boundary_zeros(monkeypatch):
+    # _count_rect_adaptive on (0, 1) x (-2, 2): a zero on the left edge is
+    # excluded by one rightward indentation, a zero on a horizontal edge is
+    # stepped over by widening T by 3.3e-4, and a zero on the right edge is
+    # refused
+    tried = []
+    wind = zr.winding_count
+
+    def recording(f, contour, mesh=1.0):
+        tried.append(contour)
+        return wind(f, contour, mesh=mesh)
+
+    monkeypatch.setattr(zr, "winding_count", recording)
+    assert zr._count_rect_adaptive(lambda s: s - 0.3j, 0.0, 1.0, 2.0) == (0, 0.0)
+    assert [len(c.indentations) for c in tried] == [0, 1]
+    [ind] = tried[-1].indentations
+    assert (ind.side, ind.radius) == ("right", 1e-3) and abs(ind.center - 0.3j) < 1e-6
+
+    tried.clear()
+    n, t_shift = zr._count_rect_adaptive(lambda s: s - (0.5 + 2j), 0.0, 1.0, 2.0)
+    assert (n, t_shift) == (1, 3.3e-4)
+    assert [(c.t_max, c.indentations) for c in tried] == [(2.0, ()), (2.0 + 3.3e-4, ())]
+
+    with pytest.raises(BoundaryZeroError) as exc:
+        zr._count_rect_adaptive(lambda s: s - (1 + 0.3j), 0.0, 1.0, 2.0)
+    assert abs(exc.value.location - (1 + 0.3j)) < 1e-6
+
+
 def test_contour_validation():
     with pytest.raises(DomainError):
         zr.Contour(1, 0, -1, 1)
