@@ -179,13 +179,7 @@ class DirichletCharacter:
 
     def __call__(self, n: int) -> complex:
         k = self.exponents[n % self.q]
-        if k is None:
-            return 0j
-        if self.order == 1:
-            return 1 + 0j
-        if 2 * k == self.order:
-            return -1 + 0j
-        return cmath.exp(2j * cmath.pi * k / self.order)
+        return 0j if k is None else _root_of_unity(k, self.order)
 
     def conjugate(self) -> "DirichletCharacter":
         """The complex-conjugate character (same q, negated exponents)."""
@@ -220,9 +214,20 @@ class CharacterData:
     conj: DirichletCharacter
 
 
+def _root_of_unity(k: int, order: int) -> complex:
+    """e^(2 pi i k / order), exact at 1 and -1: the value chi(a) takes where
+    the exponent of a is k."""
+    if order == 1:
+        return 1 + 0j
+    if 2 * k == order:
+        return -1 + 0j
+    return cmath.exp(2j * cmath.pi * k / order)
+
+
 def _build_data(chi: DirichletCharacter) -> CharacterData:
     q = chi.q
-    vals = [chi(a) for a in range(q)]
+    roots = [_root_of_unity(k, chi.order) for k in range(chi.order)]
+    vals = [0j if k is None else roots[k] for k in chi.exponents]
     values = np.array(vals, dtype=complex)
     idx = np.array([a for a in range(1, q + 1) if chi.exponents[a % q] is not None])
     weights = values[idx % q]

@@ -229,9 +229,10 @@ def _eval_series(chi: DirichletCharacter, s: complex, derivs: tuple, Ns: tuple) 
 # Hurwitz route: q^(-s) sum_a chi(a) zeta(s, a/q), differentiated termwise
 
 def _hurwitz_values(chi: DirichletCharacter, s: complex, derivs: tuple,
-                    vals, dvals, errs, errs_ds) -> tuple:
+                    vals, dvals, err: float, err_ds: Optional[float]) -> tuple:
     """The route's values and bars at s, one per entry of derivs, from one
-    engine result: the pass that yields d/ds yields the undifferentiated
+    engine result (special._hurwitz_core_many's: the per-residue values and
+    the summed bars): the pass that yields d/ds yields the undifferentiated
     values and bars bit for bit.
 
     Each bar adds (1e-15 + 2 eps |s| log q) |value| for the factor q^-s:
@@ -246,13 +247,11 @@ def _hurwitz_values(chi: DirichletCharacter, s: complex, derivs: tuple,
     for deriv in derivs:
         if deriv:
             val = qps * (complex(np.dot(d.weights, dvals)) - math.log(chi.q) * zsum)
-            err = abs(qps) * (
-                float(np.sum(errs_ds)) + math.log(chi.q) * float(np.sum(errs))
-            )
+            bar = abs(qps) * (err_ds + math.log(chi.q) * err)
         else:
             val = qps * zsum
-            err = abs(qps) * float(np.sum(errs))
-        out.append(ComplexValue(val, err + rel * abs(val)))
+            bar = abs(qps) * err
+        out.append(ComplexValue(val, bar + rel * abs(val)))
     return tuple(out)
 
 
@@ -266,6 +265,16 @@ def _cot(w: complex) -> complex:
         e = cmath.exp(2j * w)
         return 1j * (e + 1.0) / (e - 1.0)
     return cmath.cos(w) / cmath.sin(w)
+
+
+def _exp_F(w: complex, s: complex) -> complex:
+    """cmath.exp(w) for F or F' at s, whose overflow past double range (far
+    left at large q and |Im s|) is PrecisionLossError."""
+    try:
+        return cmath.exp(w)
+    except OverflowError:
+        raise PrecisionLossError(f"F(s, chi) or F' overflows double range at s = {s}",
+                                 math.inf) from None
 
 
 def _F_pieces(chi: DirichletCharacter, s: complex):
@@ -287,10 +296,10 @@ def _F_pieces(chi: DirichletCharacter, s: complex):
         lbase = leps + s * math.log(2.0) + (s - 1.0) * math.log(math.pi) + (0.5 - s) * lq
         lgam = log_gamma(1.0 - s)
         sv = cmath.sin(w)
-        F = 0j if sv == 0 else cmath.exp(lbase + lgam + cmath.log(sv))
+        F = 0j if sv == 0 else _exp_F(lbase + lgam + cmath.log(sv), s)
         psi1ms = _digamma(1.0 - s)
         bracket = (l2pi_over_q - psi1ms) * sv + (cmath.pi / 2.0) * cmath.cos(w)
-        Fp = 0j if bracket == 0 else cmath.exp(lbase + lgam + cmath.log(bracket))
+        Fp = 0j if bracket == 0 else _exp_F(lbase + lgam + cmath.log(bracket), s)
         if sv == 0:
             logderiv = complex(math.inf, 0.0)
         else:
@@ -299,7 +308,7 @@ def _F_pieces(chi: DirichletCharacter, s: complex):
         w = cmath.pi * s / 2.0
         trig = cmath.cos(w) if kappa == 0 else cmath.sin(w)
         lbase = leps + s * math.log(2.0 * math.pi) + (0.5 - s) * lq
-        F = cmath.exp(lbase - log_gamma(s) - cmath.log(2.0 * trig))
+        F = _exp_F(lbase - log_gamma(s) - cmath.log(2.0 * trig), s)
         dtrig_over = -cmath.tan(w) if kappa == 0 else _cot(w)
         logderiv = l2pi_over_q - _digamma(s) - (cmath.pi / 2.0) * dtrig_over
         Fp = F * logderiv

@@ -7,11 +7,14 @@ standard remainder bound plus a rounding estimate meets the target.  The
 candidate pairs of a point share one prefix sum of log|s + i| for the
 Pochhammer factor of that bound, so each pair costs only a few flops.  One
 engine, _em_eval, serves single points; its array form gives rows that are
-bit for bit the single-point evaluations.  _hurwitz_core_many feeds it the
-points of a batch grouped by their own (N, K), a lone point in the scalar
-form, and turns its output into error bars; _hurwitz_core is its one-point
-call.  The derivative in s comes from termwise differentiation of the same
-expansion.
+bit for bit the single-point evaluations.  Its correction loop takes the
+Pochhammer factors (s)_{2j-1} and their d/ds from _pochhammer, one CPython
+call per point, and leaves only the array products and in-place sums to
+NumPy.  _hurwitz_core_many feeds it the points of a batch grouped by their
+own (N, K), a lone point in the scalar form, and turns its output into
+error bars summed over the residues, once per chunk; _hurwitz_core, the
+per-residue form, is its one-point twin.  The derivative in s comes from
+termwise differentiation of the same expansion.
 
 The grids of the zero scans go through hurwitz_grid, which evaluates
 sum_m f(m) m^-s for q-periodic f on a product of real parts sigma and
@@ -29,7 +32,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -243,22 +245,34 @@ def _choose_em_params(s: complex, a_min: float, tol: float) -> tuple[int, int, f
             rem = _em_bound(part, log_x)
             # rounding ~ eps * (number of terms) * (largest term magnitude)
             rnd = 8 * _EPS * (N + K + 4) * peak
-            if rem <= tol and (best_feasible is None or rnd < best_feasible[2]):
-                best_feasible = (N, K, rnd, rem)
+            if rem <= tol:
+                if best_feasible is None or rnd < best_feasible[2]:
+                    best_feasible = (N, K, rnd, rem)
+                # a larger N only raises rnd, and best_any no longer counts
+                break
             if best_any is None or rem + rnd < best_any[2]:
                 best_any = (N, K, rem + rnd, rem)
     N, K, _, rem = best_feasible if best_feasible is not None else best_any
     return N, K, rem
 
 
-def _cmul(z, w):
-    """z * w on arrays, each real product rounded on its own as CPython
-    multiplies two complex scalars.  NumPy's complex multiply may fuse a
-    product into the add that follows it, which can move the last bit."""
-    out = np.empty(np.broadcast(z, w).shape, dtype=complex)
-    out.real = z.real * w.real - z.imag * w.imag
-    out.imag = z.real * w.imag + z.imag * w.real
-    return out
+def _pochhammer(s: complex, K: int) -> tuple[list, list]:
+    """(s)_{2j-1} and its d/ds for j = 1..K at one point, in CPython complex
+    arithmetic, from (s)_{2j+1} = (s)_{2j-1} (s + 2j - 1)(s + 2j).  A batch
+    calls it per point, so each row takes the scalar call's products: NumPy's
+    complex multiply may fuse a product into the add that follows it, which
+    can move the last bit."""
+    P, dP = s, 1.0 + 0j
+    Ps, dPs = [P], [dP]
+    for j in range(1, K):
+        u = s + (2 * j - 1)
+        v = s + 2 * j
+        uv = u * v
+        dP = dP * uv + P * (u + v)
+        P = P * uv
+        Ps.append(P)
+        dPs.append(dP)
+    return Ps, dPs
 
 
 def _em_eval(s, a: np.ndarray, N: int, K: int, want_ds: bool):
@@ -272,9 +286,15 @@ def _em_eval(s, a: np.ndarray, N: int, K: int, want_ds: bool):
     batch = isinstance(s, np.ndarray)
     if batch:
         s = np.asarray(s, dtype=complex)[:, None]  # (C, 1) against a's (A,)
-        s_n, mul = s[:, :, None], _cmul  # (C, 1, 1) against the (A, N) summands
+        s_n = s[:, :, None]  # (C, 1, 1) against the (A, N) summands
+        # the Pochhammer factors per point, stacked as (K, C, 1): row j - 1
+        # holds (s)_{2j-1} of every point, contiguous like a (C, 1) array
+        polys = [_pochhammer(z, K) for z in s[:, 0].tolist()]
+        P = np.ascontiguousarray(np.array([p for p, _ in polys]).T)[:, :, None]
+        dP = np.ascontiguousarray(np.array([d for _, d in polys]).T)[:, :, None]
     else:
-        s_n, mul = s, operator.mul
+        s_n = s
+        P, dP = _pochhammer(s, K)
     a = np.asarray(a, dtype=float)
     x = N + a
     logx = np.log(x)
@@ -306,24 +326,19 @@ def _em_eval(s, a: np.ndarray, N: int, K: int, want_ds: bool):
         dmain2 = -0.5 * logx * xpms
         dvals = dsum + dmain1 + dmain2
 
-    # Bernoulli corrections: coef_j * (s)_{2j-1} * x^(-s-2j+1)
-    P = s  # (s)_1
-    dP = 1.0 + 0j
+    # Bernoulli corrections: coef_j * (s)_{2j-1} * x^(-s-2j+1), in place
     xpow = np.exp((-s - 1.0) * logx)
     x2 = x * x
-    for j in range(1, K + 1):
-        c = _em_coef(j)
-        term = c * P * xpow  # c is real, so NumPy rounds c * P as CPython does
-        vals = vals + term
-        absacc = absacc + np.abs(term)
+    buf = np.empty(absacc.shape)
+    for j in range(K):
+        c = _em_coef(j + 1)
+        term = c * P[j] * xpow  # c is real, so NumPy rounds c * P as CPython does
+        vals += term
+        absacc += np.abs(term, out=buf)
         if want_ds:
-            dvals = dvals + c * xpow * (dP - logx * P)
-        u = s + (2 * j - 1)
-        v = s + 2 * j
-        uv = mul(u, v)
-        dP = mul(dP, uv) + mul(P, u + v)
-        P = mul(P, uv)
-        xpow = xpow / x2
+            dvals += c * xpow * (dP[j] - logx * P[j])
+        if j < K - 1:
+            xpow /= x2
     return vals, dvals, absacc
 
 
@@ -342,8 +357,8 @@ def _hurwitz_core(s: complex, a: np.ndarray, want_ds: bool, tol: float):
     if np.any(a <= 0.0) or np.any(a > 1.0):
         raise DomainError("shift parameter a must lie in (0, 1]")
     N, K, rem = _choose_em_params(s, float(a.min()), tol)
-    [(_, out)] = _hurwitz_core_many([s], [(N, K, rem)], a, want_ds)
-    return out + (rem,)
+    vals, dvals, absacc = _em_eval(s, a, N, K, want_ds)
+    return (vals, dvals) + _em_errs(rem, _em_rounding(s, N), N, K, absacc, want_ds) + (rem,)
 
 
 def _em_rounding(s: complex, N: int) -> float:
@@ -382,18 +397,22 @@ _BATCH_ENTRIES = 1 << 16  # bounds a batch chunk's C * A * N engine entries (1 M
 
 
 def _hurwitz_core_many(S, params, a: np.ndarray, want_ds: bool):
-    """_hurwitz_core's (vals, dvals, errs, errs_ds) at each point of the list
-    S, whose (N, K, rem) _choose_em_params gave as params, yielded as (i, tuple) and
-    bit for bit the scalar calls: the points are grouped by (N, K), and each
-    group goes through the engine's array form in chunks of at most
-    _BATCH_ENTRIES entries of C * A * N; one point alone takes the scalar
-    form, which costs a fraction of a one-row batch.  a holds valid shifts.
-    Every row is a view of its chunk's arrays, so a consumer that keeps a
-    row keeps its chunk."""
+    """At each point of the list S, whose (N, K, rem) _choose_em_params gave
+    as params, the engine's (vals, dvals) and the sums over a of
+    _hurwitz_core's errs and errs_ds (floats; errs_ds None unless want_ds),
+    yielded as (i, tuple) and bit for bit the scalar calls: the points are
+    grouped by (N, K), and each group goes through the engine's array form
+    in chunks of at most _BATCH_ENTRIES entries of C * A * N; one point
+    alone takes the scalar form, which costs a fraction of a one-row batch.
+    A chunk's bars are summed once, a row each (errs.sum(axis=1) is
+    np.sum of each row, bit for bit).  a holds valid shifts.  Every row is
+    a view of its chunk's arrays, so a consumer that keeps a row keeps its
+    chunk."""
     if len(S) == 1:
         N, K, rem = params[0]
         vals, dvals, absacc = _em_eval(S[0], a, N, K, want_ds)
-        yield 0, (vals, dvals) + _em_errs(rem, _em_rounding(S[0], N), N, K, absacc, want_ds)
+        errs, errs_ds = _em_errs(rem, _em_rounding(S[0], N), N, K, absacc, want_ds)
+        yield 0, (vals, dvals, float(errs.sum()), None if errs_ds is None else float(errs_ds.sum()))
         return
     groups: dict = {}
     for i, (N, K, _) in enumerate(params):
@@ -407,9 +426,11 @@ def _hurwitz_core_many(S, params, a: np.ndarray, want_ds: bool):
             rem = np.array([params[i][2] for i in chunk])[:, None]
             rnd = np.array([_em_rounding(S[i], N) for i in chunk])[:, None]
             errs, errs_ds = _em_errs(rem, rnd, N, K, absacc, want_ds)
+            err = errs.sum(axis=1).tolist()
+            err_ds = None if errs_ds is None else errs_ds.sum(axis=1).tolist()
             for r, i in enumerate(chunk):
-                yield i, (vals[r], None if dvals is None else dvals[r], errs[r],
-                          None if errs_ds is None else errs_ds[r])
+                yield i, (vals[r], None if dvals is None else dvals[r], err[r],
+                          None if err_ds is None else err_ds[r])
 
 
 def _em_remainder_grid(sigma_min: float, s_abs_max: float, K: int, x_min: float) -> float:

@@ -39,6 +39,7 @@ from .zeros import (
     _bisect_real_logderiv,
     _center_lemma_holds,
     _evaluator,
+    _strip_contour,
     count_N1_detailed,
     count_strip_detailed,
     grid_zero_scan,
@@ -326,8 +327,18 @@ def check_speiser(chi: DirichletCharacter, T: float) -> VerificationReport:
     t0 = time.perf_counter()
     q, kappa = chi.q, chi.kappa
     n1_minus, _ = count_strip_detailed(chi, T, "Lprime")
-    n_minus, info = count_strip_detailed(chi, T, "L")
     cond = (kappa == 0 and q >= 216) or (kappa == 1 and q >= 23)
+    if cond:
+        # on the strip count's contour: its indentations exclude the zeros of
+        # L on the line and enclose s = 0 for even chi, the poles of L'/L
+        # there.  The winding runs first, so that its (L, L') passes leave
+        # the count of L its samples in the point cache
+        try:
+            winding = winding_count(_logderiv_ratio(chi), _strip_contour(chi, T)[0])
+        except Exception:
+            count_strip_detailed(chi, T, "L")  # the count's error, if any, comes first
+            raise
+    n_minus, _ = count_strip_detailed(chi, T, "L")
     params = {"q": q, "label": chi.label, "T": T,
               "N_minus": n_minus, "N1_minus": n1_minus}
     expected_offset = n1_minus - n_minus - (1 if kappa == 0 else 0)
@@ -337,9 +348,6 @@ def check_speiser(chi: DirichletCharacter, T: float) -> VerificationReport:
             passed=None, status="conditions (a)/(b) unmet; counts reported only",
             runtime=time.perf_counter() - t0,
         )
-    # the strip count's contour: its indentations exclude the zeros of L on
-    # the line and enclose s = 0 for even chi, the poles of L'/L there
-    winding = winding_count(_logderiv_ratio(chi), info["contour"])
     desk = (n_minus, n1_minus) == ((0, 1) if kappa == 0 else (0, 0))
     params["winding"] = winding
     return VerificationReport(

@@ -607,41 +607,54 @@ def _center_lemma_holds(chi: DirichletCharacter) -> bool:
     return (chi.kappa == 0 and chi.q >= 216) or (chi.kappa == 1 and chi.q >= 10)
 
 
+def _strip_contour(chi: DirichletCharacter, T: float) -> tuple[Contour, int]:
+    """The contour of the strip count of L, and how many zeros of L its
+    indentations enclose.
+
+    The rectangle 0 < Re s < 1/2, |Im s| < t_use, where t_use steps up from
+    T by 3.3e-4, at most six times, until it is 5e-3 clear of every zero of
+    L on the critical line.  Left semicircles of radius 1e-3, or a quarter
+    of the closest gap between those zeros, exclude each of them and, for
+    even chi, enclose s = 0, the one zero enclosed.
+    """
+    gammas = critical_line_zeros(chi, T + 0.02)
+    t_use = T
+    # keep a clear margin to the horizontal edges
+    for _ in range(6):
+        if all(abs(abs(g) - t_use) > 5e-3 for g in gammas):
+            break
+        t_use += 3.3e-4
+    radius = 1e-3
+    gap = min(
+        (abs(a - b) for a, b in zip(sorted(gammas), sorted(gammas)[1:])), default=1.0
+    )
+    radius = min(radius, gap / 4.0) if gap > 0 else radius
+    inds = [
+        Indentation(complex(0.5, g), radius, "left") for g in gammas if abs(g) < t_use - radius
+    ]
+    included = 0
+    if chi.kappa == 0:
+        inds.append(Indentation(complex(0.0, 0.0), radius, "left"))
+        included = 1
+    return Contour(0.0, 0.5, -t_use, t_use, tuple(inds)), included
+
+
 def count_strip_detailed(
     chi: DirichletCharacter, T: float, which: Which, mesh: float = 1.0
 ) -> tuple[int, dict]:
     """N-(T, chi) resp. N1-(T, chi): zeros in the open strip 0 < Re s < 1/2.
 
     For L, boundary zeros (the on-line zeros and, for even chi, s = 0) get
-    left-semicircle indentations: on-line zeros are excluded, s = 0 is
-    enclosed and subtracted from the winding.  The indented contour is
-    returned as info["contour"].
+    left-semicircle indentations (_strip_contour): on-line zeros are
+    excluded, s = 0 is enclosed and subtracted from the winding.  The
+    indented contour is returned as info["contour"].
     """
     if not 2.0 <= T <= 50.0:
         raise DomainError("count_strip supports 2 <= T <= 50")
     info: dict = {"t_shift": 0.0}
-    t_use = T
     if which == "L":
-        gammas = critical_line_zeros(chi, T + 0.02)
-        # keep a clear margin to the horizontal edges
-        for _ in range(6):
-            if all(abs(abs(g) - t_use) > 5e-3 for g in gammas):
-                break
-            t_use += 3.3e-4
-        info["t_shift"] = t_use - T
-        radius = 1e-3
-        gap = min(
-            (abs(a - b) for a, b in zip(sorted(gammas), sorted(gammas)[1:])), default=1.0
-        )
-        radius = min(radius, gap / 4.0) if gap > 0 else radius
-        inds = [
-            Indentation(complex(0.5, g), radius, "left") for g in gammas if abs(g) < t_use - radius
-        ]
-        included = 0
-        if chi.kappa == 0:
-            inds.append(Indentation(complex(0.0, 0.0), radius, "left"))
-            included = 1
-        contour = Contour(0.0, 0.5, -t_use, t_use, tuple(inds))
+        contour, included = _strip_contour(chi, T)
+        info["t_shift"] = contour.t_max - T
         f = _evaluator(chi, "L")
         try:
             n = winding_count(f, contour, mesh=mesh)
@@ -652,6 +665,7 @@ def count_strip_detailed(
         info["contour"] = contour
         return n - included, info
 
+    t_use = T
     f = _evaluator(chi, "Lprime")
     for attempt in range(4):
         contour = Contour(0.0, 0.5, -t_use, t_use)

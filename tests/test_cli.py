@@ -204,6 +204,18 @@ def test_exit_code_numerical_error(capsys):
     assert code == 0 and json.loads(out)[0]["status"].startswith("window-empty")
 
 
+def test_functional_equation_overflow_exits_3(capsys):
+    # at q = 997 the factor F(s) of L(s) = F(s) L(1 - s) leaves double range
+    # near Re s = -80, |Im s| = 100, inside the window: numerical trouble,
+    # exit 3 with no traceback, where a bare OverflowError exited 1
+    for argv in (("eval", "--q", "997", "--label", "500", "--re", "-80", "--im", "100"),
+                 ("verify", "region", "--q", "997", "--label", "500", "--region", "line:40")):
+        code = cli.run(list(argv))
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == "", argv
+        assert "overflows double range" in captured.err and "Traceback" not in captured.err, argv
+
+
 def test_exit_code_check_failure(capsys, monkeypatch):
     failing = VerificationReport(name="forced", measured=1.0, bound=0.0,
                                  margin=-1.0, passed=False)

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import operator
 
 import mpmath
 import numpy as np
@@ -488,6 +489,107 @@ def test_em_eval_batch_rows_equal_scalar_calls():
                     v, d, acc = sp._em_eval(complex(s), a, N, K, want_ds)
                     assert _same_bytes(vals[i], v) and _same_bytes(absacc[i], acc), (s, N, K)
                     assert _same_bytes(None if d is None else dvals[i], d), (s, N, K)
+
+
+# the former correction loop, a verbatim copy (but for the names): the
+# Pochhammer factors of a batch came from _ref_cmul on (C, 1) arrays
+
+def _ref_cmul(z, w):
+    """z * w on arrays, each real product rounded on its own as CPython
+    multiplies two complex scalars.  NumPy's complex multiply may fuse a
+    product into the add that follows it, which can move the last bit."""
+    out = np.empty(np.broadcast(z, w).shape, dtype=complex)
+    out.real = z.real * w.real - z.imag * w.imag
+    out.imag = z.real * w.imag + z.imag * w.real
+    return out
+
+
+def _ref_batch_em_eval(s, a: np.ndarray, N: int, K: int, want_ds: bool):
+    """Euler-Maclaurin evaluation of zeta(s, a) (and d/ds) for an array of a.
+
+    s is one complex, giving results of shape (A,), or an array of shape
+    (C,), giving results of shape (C, A) whose rows are bit for bit the
+    scalar calls.  Returns (vals, dvals, absacc): dvals is None unless
+    want_ds; absacc holds the summed magnitudes behind the rounding estimate.
+    """
+    batch = isinstance(s, np.ndarray)
+    if batch:
+        s = np.asarray(s, dtype=complex)[:, None]  # (C, 1) against a's (A,)
+        s_n, mul = s[:, :, None], _ref_cmul  # (C, 1, 1) against the (A, N) summands
+    else:
+        s_n, mul = s, operator.mul
+    a = np.asarray(a, dtype=float)
+    x = N + a
+    logx = np.log(x)
+    logb = np.log(np.arange(N) + a[:, None])
+    # in place, so that a grid holds one (C, A, N) array at a time: its memory peak
+    terms = -s_n * logb
+    np.exp(terms, out=terms)
+    psum = terms.sum(axis=-1)
+    absacc = np.abs(terms).sum(axis=-1)
+    dsum = None
+    if want_ds:
+        terms *= logb
+        dsum = -terms.sum(axis=-1)
+    del terms
+
+    xp1ms = np.exp((1.0 - s) * logx)
+    main1 = xp1ms / (s - 1.0)
+    xpms = np.exp(-s * logx)
+    main2 = 0.5 * xpms
+    vals = psum + main1 + main2
+    absacc = absacc + np.abs(main1) + np.abs(main2)
+    dvals = None
+    if want_ds:
+        if batch:  # CPython's complex power and quotient, as a scalar call has them
+            inv_sq = np.array([1.0 / (z - 1.0) ** 2 for z in s[:, 0].tolist()])[:, None]
+        else:
+            inv_sq = 1.0 / (s - 1.0) ** 2
+        dmain1 = xp1ms * (-logx / (s - 1.0) - inv_sq)
+        dmain2 = -0.5 * logx * xpms
+        dvals = dsum + dmain1 + dmain2
+
+    # Bernoulli corrections: coef_j * (s)_{2j-1} * x^(-s-2j+1)
+    P = s  # (s)_1
+    dP = 1.0 + 0j
+    xpow = np.exp((-s - 1.0) * logx)
+    x2 = x * x
+    for j in range(1, K + 1):
+        c = sp._em_coef(j)
+        term = c * P * xpow  # c is real, so NumPy rounds c * P as CPython does
+        vals = vals + term
+        absacc = absacc + np.abs(term)
+        if want_ds:
+            dvals = dvals + c * xpow * (dP - logx * P)
+        u = s + (2 * j - 1)
+        v = s + 2 * j
+        uv = mul(u, v)
+        dP = mul(dP, uv) + mul(P, u + v)
+        P = mul(P, uv)
+        xpow = xpow / x2
+    return vals, dvals, absacc
+
+
+def test_em_eval_matches_the_former_correction_loop_bytewise():
+    # the Pochhammer factors now come from special._pochhammer, per point in
+    # CPython arithmetic, and the loop adds in place: vals, dvals and absacc
+    # must keep the bytes, in batches of 1, 3 and 14 points and in the scalar form
+    rows = [np.array([a for a in range(1, q) if math.gcd(a, q) == 1]) / q for q in (5, 23, 229)]
+    pts = [-3 + 0j, 3 + 0j, 0.5j] + lattice_points(14 * 3, (-3.0, 3.0), (-101.0, 101.0))
+    for a in rows:
+        for C in (1, 3, 14):
+            for K in (6, 12, 30, 59):
+                for want_ds in (False, True):
+                    S = np.array(pts[K % 3::3][:C])
+                    N = 2 + (K * C) % 20
+                    got = sp._em_eval(S, a, N, K, want_ds)
+                    ref = _ref_batch_em_eval(S, a, N, K, want_ds)
+                    assert all(_same_bytes(g, r) for g, r in zip(got, ref)), (len(a), C, K)
+                    if C == 1:
+                        s = complex(S[0])
+                        got = sp._em_eval(s, a, N, K, want_ds)
+                        ref = _ref_batch_em_eval(s, a, N, K, want_ds)
+                        assert all(_same_bytes(g, r) for g, r in zip(got, ref)), (len(a), s, K)
 
 
 # the ring |s - 1| = 10^-k around the removable point s = 1

@@ -120,6 +120,30 @@ def test_speiser_winds_on_the_strip_counts_contour(chi23, monkeypatch):
     assert abs(info["contour"].indentations[0].radius - 1.5e-3 / 4) < 1e-12
 
 
+def test_speiser_plans_no_point_for_L_prime_after_L_alone(chi229, monkeypatch):
+    # the L'/L winding runs before the strip count of L, on the same contour:
+    # its (L, L') passes leave L cached, so no point that a pass planned for
+    # L alone is planned again for L' (with the count first, 547 were: the
+    # walker's samples, 539 of them Hurwitz passes)
+    lfunc.clear_cache()
+    plan = lfunc._plan
+    l_only, again = set(), []
+
+    def recording(leaves, chi, s, derivs, route):
+        key = (chi.q, chi.label, s)
+        if True not in derivs:
+            l_only.add(key)
+        elif key in l_only:
+            again.append(s)
+        return plan(leaves, chi, s, derivs, route)
+
+    monkeypatch.setattr(lfunc, "_plan", recording)
+    rep = vf.check_speiser(chi229, 20.0)
+    assert rep.passed is True and l_only
+    assert again == []
+    lfunc.clear_cache()
+
+
 def test_run_all_concurrency_deterministic(chi23):
     first = vf.run_all(chi23, T=5.0, with_constants=False)
     lfunc.clear_cache()
