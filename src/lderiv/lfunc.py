@@ -269,9 +269,12 @@ def _cot(w: complex) -> complex:
 
 def _exp_F(w: complex, s: complex) -> complex:
     """cmath.exp(w) for F or F' at s, whose overflow past double range (far
-    left at large q and |Im s|) is PrecisionLossError."""
+    left at large q and |Im s|) is PrecisionLossError: the exponential's,
+    or that of its modulus, which abs() raises once it passes DBL_MAX."""
     try:
-        return cmath.exp(w)
+        z = cmath.exp(w)
+        abs(z)
+        return z
     except OverflowError:
         raise PrecisionLossError(f"F(s, chi) or F' overflows double range at s = {s}",
                                  math.inf) from None

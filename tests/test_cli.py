@@ -207,8 +207,10 @@ def test_exit_code_numerical_error(capsys):
 def test_functional_equation_overflow_exits_3(capsys):
     # at q = 997 the factor F(s) of L(s) = F(s) L(1 - s) leaves double range
     # near Re s = -80, |Im s| = 100, inside the window: numerical trouble,
-    # exit 3 with no traceback, where a bare OverflowError exited 1
+    # exit 3 with no traceback, where a bare OverflowError exited 1.  At
+    # -72.074 + 100i the exponential of F' is finite but its modulus is not
     for argv in (("eval", "--q", "997", "--label", "500", "--re", "-80", "--im", "100"),
+                 ("eval", "--q", "997", "--label", "500", "--re", "-72.074", "--im", "100"),
                  ("verify", "region", "--q", "997", "--label", "500", "--region", "line:40")):
         code = cli.run(list(argv))
         captured = capsys.readouterr()
