@@ -182,11 +182,18 @@ class DirichletCharacter:
         return 0j if k is None else _root_of_unity(k, self.order)
 
     def conjugate(self) -> "DirichletCharacter":
-        """The complex-conjugate character (same q, negated exponents)."""
+        """The complex-conjugate character (same q, negated exponents).
+
+        Its label is the place of the negated exponent vector (c_i) in
+        enumerate_primitive's product order, where chi(g_i) =
+        e^(2 pi i c_i / d_i) at the generator g_i of order d_i."""
         if self.order <= 2:
             return self
-        conj = tuple(None if k is None else (-k) % self.order for k in self.exponents)
-        return _character_of_exponent_table(self.q, conj, self.order)
+        label = 0
+        for f, choices in zip(unit_group(self.q).factors, _primitive_exponents(self.q)):
+            c = self.exponents[f.generator] * f.order // self.order
+            label = label * len(choices) + choices.index(-c % f.order)
+        return enumerate_primitive(self.q)[label]
 
     @cached_property
     def data(self) -> "CharacterData":

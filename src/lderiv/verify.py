@@ -40,6 +40,7 @@ from .zeros import (
     _center_lemma_holds,
     _evaluator,
     _strip_contour,
+    _strip_count_L,
     count_N1_detailed,
     count_strip_detailed,
     grid_zero_scan,
@@ -328,17 +329,18 @@ def check_speiser(chi: DirichletCharacter, T: float) -> VerificationReport:
     q, kappa = chi.q, chi.kappa
     n1_minus, _ = count_strip_detailed(chi, T, "Lprime")
     cond = (kappa == 0 and q >= 216) or (kappa == 1 and q >= 23)
+    contour, included = _strip_contour(chi, T)
     if cond:
         # on the strip count's contour: its indentations exclude the zeros of
         # L on the line and enclose s = 0 for even chi, the poles of L'/L
         # there.  The winding runs first, so that its (L, L') passes leave
         # the count of L its samples in the point cache
         try:
-            winding = winding_count(_logderiv_ratio(chi), _strip_contour(chi, T)[0])
+            winding = winding_count(_logderiv_ratio(chi), contour)
         except Exception:
-            count_strip_detailed(chi, T, "L")  # the count's error, if any, comes first
+            _strip_count_L(chi, contour, included)  # the count's error, if any, comes first
             raise
-    n_minus, _ = count_strip_detailed(chi, T, "L")
+    n_minus = _strip_count_L(chi, contour, included)
     params = {"q": q, "label": chi.label, "T": T,
               "N_minus": n_minus, "N1_minus": n1_minus}
     expected_offset = n1_minus - n_minus - (1 if kappa == 0 else 0)

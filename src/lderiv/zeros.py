@@ -11,9 +11,11 @@ form when it has one (the L and L' evaluators here do); refinement stays
 one point at a time.
 
 Zeros of L on the critical line are the sign changes of the real function
-Z(t), sampled in one batch; a sample whose sign is not certified by its
-error bar is refused, and each sign change is refined by the Illinois
-variant of regula falsi.
+Z(t) on a fine grid in t.  Z is sampled coarse to fine: every fifth grid
+point in one batch, then every grid point of the coarse cells that show a
+sign change or border a coarse minimum of |Z| in a second; a sample whose
+sign is not certified by its error bar is refused, and each sign change is
+refined by the Illinois variant of regula falsi.
 
 Indentation sides are named by direction: a "left" semicircle bulges
 toward smaller Re s, so on the left edge of a rectangle it encloses the
@@ -531,16 +533,26 @@ def _count_rect_adaptive(
     raise NumericalError("rectangle count did not stabilize after perturbations")
 
 
+_COARSE = 5  # fine-grid steps per coarse cell of the critical-line scan
+
+
 def critical_line_zeros(chi: DirichletCharacter, T: float, spacing: float = 0.02) -> list[float]:
     """Ordinates of the zeros of L on Re s = 1/2 with |t| <= T.
 
     Uses the real-valued rotated completed function
       Z(t) = Re[ e^(-i arg(eps)/2) (q/pi)^((s+kappa)/2) Gamma((s+kappa)/2) L(s) ],
-    whose sign changes are exactly the on-line zeros (odd order).  Z is
-    sampled every `spacing` (the samples' L values in one batch), and each
-    sample must clear ten times its error bar |g| L.err, or the sign it
-    shows is not certified and InconclusiveBoundaryError is raised.  Each
-    sign change is refined by _illinois.
+    whose sign changes are exactly the on-line zeros (odd order).  Z lives
+    on the grid t = -T, -T + spacing, ..., but only the grid points that
+    _scan_samples picks are evaluated (two batches of L values): every
+    sign change between neighbouring grid points inside a coarse cell that
+    shows a sign change or borders a coarse minimum of |Z| is found, with
+    the same bracket and end values as a scan of every grid point.  What
+    the scan can miss is a pair of zeros in one cell on a steep flank of
+    |Z|, where no coarse sample is a local minimum; the pair then cancels
+    in the cell's end signs.  Each sample evaluated must clear ten times
+    its error bar |g| L.err, or the sign it shows is not certified and
+    InconclusiveBoundaryError is raised.  Each sign change is refined by
+    _illinois.
     """
     omega = cmath.phase(chi.data.epsilon.value) / 2.0
     rot = cmath.exp(-1j * omega)
@@ -554,18 +566,51 @@ def critical_line_zeros(chi: DirichletCharacter, T: float, spacing: float = 0.02
         return (rot * g * L.value).real, abs(g) * L.err
 
     ts = [float(t) for t in np.arange(-T, T + spacing / 2, spacing)]
-    Ls = _eval_many(chi, [0.5 + 1j * t for t in ts], (False,))
-    zs = []
-    for t, (L,) in zip(ts, Ls):
-        z, bar = zval(t, L)
-        if not abs(z) > 10.0 * bar:
-            raise InconclusiveBoundaryError(
-                f"Z({t}) = {z:.3e} does not clear its error bar {bar:.3e}: sign not certified"
-            )
-        zs.append(z)
+
+    def sample(idx: list[int]) -> list[float]:
+        Ls = _eval_many(chi, [0.5 + 1j * ts[i] for i in idx], (False,))
+        zs = []
+        for i, (L,) in zip(idx, Ls):
+            z, bar = zval(ts[i], L)
+            if not abs(z) > 10.0 * bar:
+                raise InconclusiveBoundaryError(
+                    f"Z({ts[i]}) = {z:.3e} does not clear its error bar {bar:.3e}: sign not certified"
+                )
+            zs.append(z)
+        return zs
+
+    idx, zs = _scan_samples(len(ts), sample)
     zfun = lambda t: zval(t, eval_L(chi, 0.5 + 1j * t))[0]
-    return [_illinois(zfun, ts[i], zs[i], ts[i + 1], zs[i + 1])
-            for i in range(len(ts) - 1) if zs[i] * zs[i + 1] < 0.0]
+    return [_illinois(zfun, ts[idx[k]], zs[k], ts[idx[k + 1]], zs[k + 1])
+            for k in range(len(idx) - 1) if zs[k] * zs[k + 1] < 0.0]
+
+
+def _scan_samples(
+    n: int, sample: Callable[[list[int]], list[float]]
+) -> tuple[list[int], list[float]]:
+    """The grid indices 0..n-1 a sign-change scan evaluates, ascending, and
+    the values there; sample(indices) gives the values at a list of indices.
+
+    First every _COARSE-th index and the last one (the coarse cells between
+    them), then every interior index of each cell whose ends differ in sign
+    or that borders a strict local minimum of |value| among the coarse
+    samples (an end sample undercuts its one neighbour).  So every sign
+    change between evaluated neighbours is one between grid neighbours."""
+    coarse = list(range(0, n - 1, _COARSE)) + [n - 1] if n else []
+    zc = sample(coarse)
+    mags = [math.inf] + [abs(z) for z in zc] + [math.inf]
+    cells = set()  # cell k runs from coarse[k] to coarse[k + 1]
+    for k in range(len(coarse)):
+        if mags[k + 1] < mags[k] and mags[k + 1] < mags[k + 2]:
+            cells.update((k - 1, k))
+        if k + 1 < len(coarse) and zc[k] * zc[k + 1] < 0.0:
+            cells.add(k)
+    fine = [i for k in sorted(cells) if 0 <= k < len(coarse) - 1
+            for i in range(coarse[k] + 1, coarse[k + 1])]
+    got = dict(zip(coarse, zc))
+    got.update(zip(fine, sample(fine)))
+    idx = sorted(got)
+    return idx, [got[i] for i in idx]
 
 
 def _illinois(f: Callable[[float], float], lo: float, flo: float, hi: float, fhi: float) -> float:
@@ -639,6 +684,18 @@ def _strip_contour(chi: DirichletCharacter, T: float) -> tuple[Contour, int]:
     return Contour(0.0, 0.5, -t_use, t_use, tuple(inds)), included
 
 
+def _strip_count_L(chi: DirichletCharacter, contour: Contour, included: int, mesh: float = 1.0) -> int:
+    """N-: the winding of L on the strip contour (_strip_contour) less the
+    zeros its indentations enclose; a zero of L on the contour is refused."""
+    try:
+        n = winding_count(_evaluator(chi, "L"), contour, mesh=mesh)
+    except BoundaryZeroError as exc:
+        raise InconclusiveBoundaryError(
+            f"L vanishes on the strip contour at {exc.location}"
+        ) from exc
+    return n - included
+
+
 def count_strip_detailed(
     chi: DirichletCharacter, T: float, which: Which, mesh: float = 1.0
 ) -> tuple[int, dict]:
@@ -654,16 +711,10 @@ def count_strip_detailed(
     info: dict = {"t_shift": 0.0}
     if which == "L":
         contour, included = _strip_contour(chi, T)
+        n = _strip_count_L(chi, contour, included, mesh)
         info["t_shift"] = contour.t_max - T
-        f = _evaluator(chi, "L")
-        try:
-            n = winding_count(f, contour, mesh=mesh)
-        except BoundaryZeroError as exc:
-            raise InconclusiveBoundaryError(
-                f"L vanishes on the strip contour at {exc.location}"
-            ) from exc
         info["contour"] = contour
-        return n - included, info
+        return n, info
 
     t_use = T
     f = _evaluator(chi, "Lprime")

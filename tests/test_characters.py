@@ -307,6 +307,17 @@ def test_conjugate_and_kronecker_return_the_enumerated_object():
         assert chi is ch.from_label(abs(d), chi.label), d
 
 
+def test_conjugate_label_is_the_scans():
+    # the label computed from the negated exponent vector is the one the
+    # linear scan of the enumeration for the conjugate table finds
+    for q in list(range(3, 301)) + [512, 720, 997, 1000]:
+        for chi in ch.enumerate_primitive(q):
+            if chi.order <= 2:
+                continue
+            conj = tuple(None if k is None else -k % chi.order for k in chi.exponents)
+            assert chi.conjugate() is ch._character_of_exponent_table(q, conj, chi.order), (q, chi.label)
+
+
 def test_a_character_stays_one_object_after_many_moduli():
     first = ch.from_label(7, 1)
     for q in range(3, 61):

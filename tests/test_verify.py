@@ -144,6 +144,23 @@ def test_speiser_plans_no_point_for_L_prime_after_L_alone(chi229, monkeypatch):
     lfunc.clear_cache()
 
 
+def test_speiser_scans_the_critical_line_once(chi229, monkeypatch):
+    # the winding and the count of L share one strip contour, so its zeros
+    # on the critical line are found once (the count used to build its own)
+    from lderiv import zeros
+
+    real, calls = zeros.critical_line_zeros, []
+
+    def counting(chi, T, spacing=0.02):
+        calls.append(T)
+        return real(chi, T, spacing)
+
+    monkeypatch.setattr(zeros, "critical_line_zeros", counting)
+    rep = vf.check_speiser(chi229, 20.0)
+    assert rep.passed is True and len(calls) == 1
+    lfunc.clear_cache()
+
+
 def test_run_all_concurrency_deterministic(chi23):
     first = vf.run_all(chi23, T=5.0, with_constants=False)
     lfunc.clear_cache()

@@ -359,6 +359,100 @@ def test_critical_line_refinement_matches_the_bisection(chi5, chi7_complex, chi2
     lf.clear_cache()
 
 
+def _ref_full_grid_scan(chi, T, spacing=0.02):
+    """critical_line_zeros as it was with every grid point evaluated
+    (verbatim bar the module prefixes)."""
+    omega = cmath.phase(chi.data.epsilon.value) / 2.0
+    rot = cmath.exp(-1j * omega)
+
+    def zval(t: float, L: ComplexValue) -> tuple[float, float]:
+        """Z(t) from L(1/2 + it), and the bar |g| L.err of Z."""
+        s = 0.5 + 1j * t
+        g = cmath.exp(
+            ((s + chi.kappa) / 2.0) * math.log(chi.q / math.pi) + log_gamma((s + chi.kappa) / 2.0)
+        )
+        return (rot * g * L.value).real, abs(g) * L.err
+
+    ts = [float(t) for t in np.arange(-T, T + spacing / 2, spacing)]
+    Ls = lf._eval_many(chi, [0.5 + 1j * t for t in ts], (False,))
+    zs = []
+    for t, (L,) in zip(ts, Ls):
+        z, bar = zval(t, L)
+        if not abs(z) > 10.0 * bar:
+            raise InconclusiveBoundaryError(
+                f"Z({t}) = {z:.3e} does not clear its error bar {bar:.3e}: sign not certified"
+            )
+        zs.append(z)
+    zfun = lambda t: zval(t, lf.eval_L(chi, 0.5 + 1j * t))[0]
+    return [zr._illinois(zfun, ts[i], zs[i], ts[i + 1], zs[i + 1])
+            for i in range(len(ts) - 1) if zs[i] * zs[i + 1] < 0.0]
+
+
+def test_coarse_to_fine_scan_matches_the_full_grid_bitwise(chi5, chi7_complex, chi229):
+    # (59, 41) has two zeros 0.025 apart, near t = 14.65, in one coarse cell
+    chi59 = ch.from_label(59, 41)
+    for chi in (chi5, chi7_complex, chi229, chi59):
+        lf.clear_cache()
+        got = zr.critical_line_zeros(chi, 20.02)
+        lf.clear_cache()
+        want = _ref_full_grid_scan(chi, 20.02)
+        assert got == want and len(got) > 10, (chi.q, chi.label)
+    assert min(b - a for a, b in zip(got, got[1:])) < 0.03
+    lf.clear_cache()
+
+
+def _synthetic_scan(z, n=201, h=0.02):
+    """_scan_samples on z at t_i = i h: the sign-change brackets it sees, those
+    of every grid point, and the indices it evaluated."""
+    seen = []
+    idx, vals = zr._scan_samples(n, lambda ix: seen.extend(ix) or [z(i * h) for i in ix])
+    assert idx == sorted(seen) and vals == [z(i * h) for i in idx]
+    got = [(i, j) for (i, a), (j, b) in zip(zip(idx, vals), zip(idx[1:], vals[1:])) if a * b < 0.0]
+    every = [z(i * h) for i in range(n)]
+    want = [(i, i + 1) for i in range(n - 1) if every[i] * every[i + 1] < 0.0]
+    return got, want, set(idx)
+
+
+def test_scan_cells_on_a_synthetic_Z():
+    # coarse samples at t = 0, 0.1, 0.2, ...; the grid runs to t = 4
+    # a pair 0.05 apart inside the cell (1.3, 1.4), at the bottom of a
+    # shallow valley of |Z|: no coarse sample shows it by its sign
+    got, want, idx = _synthetic_scan(lambda t: (t - 1.313) * (t - 1.363))
+    assert got == want == [(65, 66), (68, 69)]
+    # a pair in (1.3, 1.4), next to an isolated sign change in (1.2, 1.3)
+    got, want, idx = _synthetic_scan(lambda t: (t - 1.25) * (t - 1.313) * (t - 1.363))
+    assert got == want == [(62, 63), (65, 66), (68, 69)]
+    # a dip to 1e-4 that never crosses: its cells are evaluated, no zero found
+    got, want, idx = _synthetic_scan(lambda t: (t - 1.33) ** 2 + 1e-4)
+    assert got == want == [] and set(range(60, 71)) <= idx
+    # a smooth Z: the cells of its four sign changes, their coarse
+    # neighbours and the coarse |Z| minima next to them are all it evaluates
+    got, want, idx = _synthetic_scan(lambda t: math.cos(3.0 * t))
+    assert got == want and len(got) == 4 and len(idx) < 0.5 * 201
+    # the blind spot: a pair on a steep flank, where |Z| falls through every
+    # coarse sample, leaves no sign change and no coarse minimum
+    got, want, idx = _synthetic_scan(lambda t: (t - 1.313) * (t - 1.363) * math.exp(-30.0 * t))
+    assert want == [(65, 66), (68, 69)] and got == []
+
+
+def test_scan_plans_at_most_two_fifths_of_the_grid(chi229, monkeypatch):
+    ts = {float(t) for t in np.arange(-20.02, 20.03, 0.02)}
+    assert len(ts) == 2003
+    plan = lf._plan
+    planned = []
+
+    def recording(leaves, chi, s, derivs, route):
+        if s.real == 0.5 and s.imag in ts:
+            planned.append(s)
+        return plan(leaves, chi, s, derivs, route)
+
+    lf.clear_cache()
+    monkeypatch.setattr(lf, "_plan", recording)
+    zr.critical_line_zeros(chi229, 20.02)
+    assert 0 < len(planned) <= 0.4 * 2003
+    lf.clear_cache()
+
+
 def test_illinois_on_a_sign_change():
     # a simple zero takes a few steps; a triple one (flat, slow for regula
     # falsi) more, and both end within the bracket's width of the zero
