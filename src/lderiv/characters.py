@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
@@ -189,11 +190,9 @@ class DirichletCharacter:
         e^(2 pi i c_i / d_i) at the generator g_i of order d_i."""
         if self.order <= 2:
             return self
-        label = 0
-        for f, choices in zip(unit_group(self.q).factors, _primitive_exponents(self.q)):
-            c = self.exponents[f.generator] * f.order // self.order
-            label = label * len(choices) + choices.index(-c % f.order)
-        return enumerate_primitive(self.q)[label]
+        return _character_of_generator_exponents(self.q, [
+            -(self.exponents[f.generator] * f.order // self.order) % f.order
+            for f in unit_group(self.q).factors])
 
     @cached_property
     def data(self) -> "CharacterData":
@@ -296,7 +295,14 @@ def enumerate_primitive(q: int) -> tuple[DirichletCharacter, ...]:
     """
     if q < 3:
         raise DomainError(f"q = {q} < 3: no primitive characters to enumerate")
-    dlog = _dlog_table(q)
+    # the units in the product order of their exponent vectors (as
+    # _dlog_table built them), and where each residue's exponent sits in a
+    # list of the units' exponents followed by None for the non-units
+    units = list(_dlog_table(q))
+    where = [len(units)] * q
+    for i, a in enumerate(units):
+        where[a] = i
+    table_of = operator.itemgetter(*where)
     factor_orders = [f.order for f in unit_group(q).factors]
     out = []
     m = min_coprime(q)
@@ -305,14 +311,18 @@ def enumerate_primitive(q: int) -> tuple[DirichletCharacter, ...]:
         order = 1
         for c, d in zip(cvec, factor_orders):
             order = math.lcm(order, d // math.gcd(d, c))
-        table: list[Optional[int]] = [None] * q
-        for a, vec in dlog.items():
-            k = 0
-            for c, d, x in zip(cvec, factor_orders, vec):
-                k += x * (c * order // d)  # c*order/d is exact by choice of order
-            table[a] = k % order
+        # the exponent at g_1^x_1 ... g_r^x_r is sum_i x_i w_i mod order,
+        # w_i = c_i order / d_i (exact by choice of order), summed factor by
+        # factor in the product order of the vectors (x_i); x_i w_i mod
+        # order repeats after d_i / gcd(c_i, d_i) steps
+        ks = [0]
+        for c, d in zip(cvec, factor_orders):
+            w, period = c * order // d, d // math.gcd(c, d)
+            steps = [x * w % order for x in range(period)] * (d // period)
+            ks = [(k + x) % order for k in ks for x in steps] if len(ks) > 1 else steps
+        exponents = table_of(ks + [None])
         chi = DirichletCharacter(
-            q=q, exponents=tuple(table), order=order, kappa=0 if table[q - 1] == 0 else 1,
+            q=q, exponents=exponents, order=order, kappa=0 if exponents[q - 1] == 0 else 1,
             conductor=q, m=m, is_quadratic=(order == 2), label=len(out),
         )
         out.append(_LIVE.setdefault((q, chi.label), chi))
@@ -326,14 +336,14 @@ def from_label(q: int, label: int) -> DirichletCharacter:
     return chars[label]
 
 
-def _character_of_exponent_table(
-    q: int, table: tuple[Optional[int], ...], order: int
-) -> DirichletCharacter:
-    """The enumerated primitive character mod q with this exponent table."""
-    for chi in enumerate_primitive(q):
-        if chi.order == order and chi.exponents == table:
-            return chi
-    raise RuntimeError(f"character table not found in enumeration mod {q}")
+def _character_of_generator_exponents(q: int, cvec: list) -> DirichletCharacter:
+    """The enumerated primitive character mod q with chi(g_i) =
+    e^(2 pi i c_i / d_i) at each generator g_i of order d_i: its label is
+    the place of cvec in the product order of _primitive_exponents(q)."""
+    label = 0
+    for c, choices in zip(cvec, _primitive_exponents(q)):
+        label = label * len(choices) + choices.index(c)
+    return enumerate_primitive(q)[label]
 
 
 def kronecker_symbol(d: int, n: int) -> int:
@@ -393,15 +403,10 @@ def kronecker_character(d: int) -> DirichletCharacter:
     if not _is_fundamental_discriminant(d):
         raise DomainError(f"{d} is not a fundamental discriminant")
     q = abs(d)
-    table: list[Optional[int]] = [None] * q
-    for a in range(q):
-        v = kronecker_symbol(d, a)
-        if v == 1:
-            table[a] = 0
-        elif v == -1:
-            table[a] = 1
-    # d != 1 makes the character nontrivial, so its order is 2
-    return _character_of_exponent_table(q, tuple(table), 2)
+    # (d|g) = e^(2 pi i c / order of g) at each generator g: c = 0 or order / 2
+    return _character_of_generator_exponents(q, [
+        0 if kronecker_symbol(d, f.generator) == 1 else f.order // 2
+        for f in unit_group(q).factors])
 
 
 def gauss_sum(chi: DirichletCharacter) -> ComplexValue:

@@ -29,11 +29,17 @@ calls of it, eval_L_point and eval_L_points its pair form.  On the auto
 route each point is looked up in the point cache, and the values not
 cached are evaluated and cached under their own (q, label, s, deriv) keys;
 a forced route touches no cache.  A one-point call whose values are all
-cached returns them without planning a block.  L and L' at the same point
-come from one pass of a route: one Euler-Maclaurin engine result (whose
-d/ds pass yields L bit for bit), one array of Dirichlet-series terms summed
-to each value's own cutoff, or one F(s) with one L(1-s), L'(1-s) pair,
-which is not cached (near s = 1, one hurwitz_grid call each).  The
+cached returns them without planning a block.  The auto route also looks
+each Hurwitz pass up in the pass cache (_PassCache): the engine row of a
+pass at s depends on q and s alone, so once a second label of a modulus
+has asked for a pass since clear_cache, the rows are kept, within a byte
+budget, and serve every character mod q at s with its own weights, the
+bytes of its own pass; a run with one character per modulus keeps none.
+L and L' at the same point come from one pass of a route: one
+Euler-Maclaurin engine result (whose d/ds pass yields L bit for bit), one
+array of Dirichlet-series terms summed to each value's own cutoff, or one
+F(s) with one L(1-s), L'(1-s) pair, which is not cached (near s = 1, one
+hurwitz_grid call each).  The
 Hurwitz-engine work of a block of points -- the Hurwitz route and the
 functional equation's inner L(1-s), L'(1-s) -- goes through the engine in
 one call per chunk of points that share (N, K) (one point alone takes the
@@ -50,6 +56,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional
 
@@ -134,7 +141,11 @@ _PAIR = (False, True)  # the derivs of a one-pass (L, L') request
 
 
 def clear_cache() -> None:
+    """Empty the point cache and the pass cache, and forget which labels
+    have asked for a Hurwitz pass: a modulus shares its passes again only
+    once a second label of it asks."""
     _POINT_CACHE.clear()
+    _PASSES.clear()
 
 
 def _cache_key(chi: DirichletCharacter, s: complex, deriv: bool) -> tuple:
@@ -145,6 +156,73 @@ def _cache_put(key, val):
     if len(_POINT_CACHE) >= _CACHE_CAP:
         _POINT_CACHE.clear()
     _POINT_CACHE[key] = val
+
+
+# ----------------------------------------------------------------------
+# the pass cache: (q, s) -> the engine row of a Hurwitz pass at s
+
+_ROW_OVERHEAD = 400  # bytes charged to a stored row besides its arrays
+
+
+class _PassCache:
+    """Engine rows of Hurwitz passes, shared by the characters of a modulus.
+
+    A row is what special._hurwitz_core_many yields for one point: the
+    per-residue values, the d/ds values or None, and the two summed bars.
+    It depends on q and s alone -- the residues a/q and the engine's
+    (N, K, rem) -- so every character mod q takes a stored row with its own
+    weights (_hurwitz_values) and gets the bytes its own pass would give.
+    A row without d/ds serves no L'.  Rows of a modulus are stored only
+    once a block of a second label of it has asked for a pass since the
+    last clear, so a run with one character per modulus stores nothing.
+    Each row is a copy (the engine's is a view that keeps its whole
+    chunk), charged its arrays' bytes plus _ROW_OVERHEAD, and the rows are
+    held within budget bytes, the oldest evicted first (popitem in O(1))."""
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.rows: OrderedDict = OrderedDict()  # (q, s) -> (row, bytes charged)
+        self.nbytes = 0
+        self.first: dict = {}  # q -> the first label of q to ask for a pass
+        self.shared: set = set()  # the q a second label has asked of
+
+    def clear(self) -> None:
+        self.rows.clear()
+        self.nbytes = 0
+        self.first.clear()
+        self.shared.clear()
+
+    def sharing(self, chi: DirichletCharacter) -> bool:
+        """Whether a second label of chi.q has asked for a pass since the
+        last clear, counting chi's ask."""
+        q = chi.q
+        if q not in self.shared and self.first.setdefault(q, chi.label) != chi.label:
+            self.shared.add(q)
+        return q in self.shared
+
+    def lookup(self, q: int, s: complex, want_ds: bool):
+        """The stored row at (q, s), if it has d/ds when want_ds, or None."""
+        got = self.rows.get((q, s))
+        if got is None or (want_ds and got[0][1] is None):
+            return None
+        return got[0]
+
+    def store(self, q: int, s: complex, row: tuple) -> None:
+        """Keep a copy of the engine row at (q, s), evicting the oldest rows
+        past the budget."""
+        vals, dvals, err, err_ds = row
+        row = (vals.copy(), None if dvals is None else dvals.copy(), err, err_ds)
+        size = vals.nbytes + (0 if dvals is None else dvals.nbytes) + _ROW_OVERHEAD
+        old = self.rows.pop((q, s), None)
+        if old is not None:
+            self.nbytes -= old[1]
+        self.rows[q, s] = (row, size)
+        self.nbytes += size
+        while self.nbytes > self.budget:
+            self.nbytes -= self.rows.popitem(last=False)[1][1]
+
+
+_PASSES = _PassCache(1 << 20)
 
 
 def _check_window(chi: DirichletCharacter, s: complex) -> None:
@@ -467,9 +545,10 @@ def _eval_block(chi: DirichletCharacter, points: list, derivs: tuple, route: str
     Re s = 0, the upper route (_upper_parts) from Re s = 2 on and Hurwitz
     between, and caches what it evaluates; the _ROUTES plan every point on
     that route and touch no cache.  The Hurwitz passes (but near s = 1, see
-    _leaf) go through special._hurwitz_core_many together.  Points are
-    checked and planned in order, so the first one refused raises: outside
-    the window, an unknown route, or its route's own refusal."""
+    _leaf) that the auto route does not find in the pass cache go through
+    special._hurwitz_core_many together.  Points are checked and planned
+    in order, so the first one refused raises: outside the window, an
+    unknown route, or its route's own refusal."""
     got: dict = {}  # (s, deriv) -> value, for the answer
     todo: dict = {}  # s -> (derivs to evaluate, (F, F') or None, passes)
     leaves: list = []  # (character, point, derivs, (N, K, rem)) of each Hurwitz pass
@@ -496,13 +575,22 @@ def _eval_block(chi: DirichletCharacter, points: list, derivs: tuple, route: str
         todo[s] = (need,) + _plan(leaves, chi, s, need, r)
 
     results = [None] * len(leaves)
-    if leaves:
-        want_ds = any(True in ds for _, _, ds, _ in leaves)
-        core = _hurwitz_core_many([z for _, z, _, _ in leaves], [p for *_, p in leaves],
+    share = auto and bool(leaves) and _PASSES.sharing(chi)
+    if share:
+        for i, (c, z, ds, _) in enumerate(leaves):
+            row = _PASSES.lookup(chi.q, z, True in ds)
+            if row is not None:
+                results[i] = _hurwitz_values(c, z, ds, *row)
+    misses = [i for i, r in enumerate(results) if r is None]
+    if misses:
+        want_ds = any(True in leaves[i][2] for i in misses)
+        core = _hurwitz_core_many([leaves[i][1] for i in misses], [leaves[i][3] for i in misses],
                                   chi.data.residues, want_ds)
-        for i, engine_out in core:
-            c, z, ds, _ = leaves[i]
-            results[i] = _hurwitz_values(c, z, ds, *engine_out)
+        for j, engine_out in core:
+            c, z, ds, _ = leaves[misses[j]]
+            results[misses[j]] = _hurwitz_values(c, z, ds, *engine_out)
+            if share:
+                _PASSES.store(chi.q, z, engine_out)
 
     # Near deep zeros a value can sit far below its own bar (the functional
     # equation's terms cancel); consumers decide via .err, so none is refused.

@@ -321,8 +321,7 @@ def _circle(center: complex, radius: float) -> list:
 # ----------------------------------------------------------------------
 # derivative helpers and Newton polishing
 
-def _fd(f: Callable[[complex], complex], z: complex, h: float = 1e-6) -> complex:
-    return (complex(f(z + h)) - complex(f(z - h))) / (2.0 * h)
+_FD_STEP = 1e-6  # Newton's central-difference step
 
 
 def _newton(
@@ -331,15 +330,18 @@ def _newton(
     tol: float = 1e-11,
     max_iter: int = 30,
 ) -> tuple[complex, float]:
-    """Newton iteration with finite-difference derivative.
+    """Newton iteration with central-difference derivative: f(z), f(z + h)
+    and f(z - h) per step in one call through f's many-point form
+    f.many(points), or one f call each when f has none.
 
     Returns (zero, last_step); raises NumericalError when not converging.
     """
+    many = getattr(f, "many", lambda points: [f(p) for p in points])
     z = z0
     last = math.inf
     for _ in range(max_iter):
-        fv = complex(f(z))
-        dv = _fd(f, z)
+        fv, fp, fm = (complex(v) for v in many([z, z + _FD_STEP, z - _FD_STEP]))
+        dv = (fp - fm) / (2.0 * _FD_STEP)
         if dv == 0:
             raise NumericalError("Newton hit a vanishing derivative")
         step = fv / dv
@@ -551,8 +553,8 @@ def critical_line_zeros(chi: DirichletCharacter, T: float, spacing: float = 0.02
     |Z|, where no coarse sample is a local minimum; the pair then cancels
     in the cell's end signs.  Each sample evaluated must clear ten times
     its error bar |g| L.err, or the sign it shows is not certified and
-    InconclusiveBoundaryError is raised.  Each sign change is refined by
-    _illinois.
+    InconclusiveBoundaryError is raised.  The sign changes are refined by
+    _illinois_many, one batch of L values per round.
     """
     omega = cmath.phase(chi.data.epsilon.value) / 2.0
     rot = cmath.exp(-1j * omega)
@@ -580,9 +582,10 @@ def critical_line_zeros(chi: DirichletCharacter, T: float, spacing: float = 0.02
         return zs
 
     idx, zs = _scan_samples(len(ts), sample)
-    zfun = lambda t: zval(t, eval_L(chi, 0.5 + 1j * t))[0]
-    return [_illinois(zfun, ts[idx[k]], zs[k], ts[idx[k + 1]], zs[k + 1])
-            for k in range(len(idx) - 1) if zs[k] * zs[k + 1] < 0.0]
+    zmany = lambda xs: [zval(t, L)[0] for t, (L,) in zip(xs, _eval_many(
+        chi, [0.5 + 1j * t for t in xs], (False,)))]
+    return _illinois_many(zmany, [(ts[idx[k]], zs[k], ts[idx[k + 1]], zs[k + 1])
+                                  for k in range(len(idx) - 1) if zs[k] * zs[k + 1] < 0.0])
 
 
 def _scan_samples(
@@ -620,6 +623,31 @@ def _illinois(f: Callable[[float], float], lo: float, flo: float, hi: float, fhi
     midpoint, or a point where f is exactly 0.  When the same end moves
     twice running, the value kept at the other end is halved, which keeps
     both ends moving (superlinear: about 5 evaluations a zero on Z)."""
+    [x] = _illinois_many(lambda xs: [f(x) for x in xs], [(lo, flo, hi, fhi)])
+    return x
+
+
+def _illinois_many(f_many: Callable[[list], list], brackets: list) -> list[float]:
+    """_illinois on each bracket (lo, f(lo), hi, f(hi)) of f, stepped
+    together: each round evaluates the next x of every open bracket in one
+    f_many(xs) call.  Each bracket sees the x and f(x) it would alone."""
+    steps = [_illinois_steps(*b) for b in brackets]
+    out = [0.0] * len(steps)
+    fxs = dict.fromkeys(range(len(steps)))  # open bracket -> f at its last x, None at first
+    while fxs:
+        xs = {}  # open bracket -> its next x
+        for k, fx in fxs.items():
+            try:
+                xs[k] = steps[k].send(fx)
+            except StopIteration as done:
+                out[k] = done.value
+        fxs = dict(zip(xs, f_many(list(xs.values())))) if xs else {}
+    return out
+
+
+def _illinois_steps(lo: float, flo: float, hi: float, fhi: float):
+    """_illinois as a generator: it yields each x and is sent f(x), and
+    returns the sign change."""
     side = 0  # -1 when lo moved last, +1 when hi did
     for _ in range(200):
         tol = 1e-12 * (1.0 + abs(lo))
@@ -628,7 +656,7 @@ def _illinois(f: Callable[[float], float], lo: float, flo: float, hi: float, fhi
         # at least tol/2 inside the bracket: an end that sits on the zero
         # then gets a partner within tol/2 instead of creeping up on it
         x = min(max(hi - fhi * (hi - lo) / (fhi - flo), lo + 0.5 * tol), hi - 0.5 * tol)
-        fx = f(x)
+        fx = yield x
         if fx == 0.0:
             return x
         if (fx > 0.0) == (flo > 0.0):

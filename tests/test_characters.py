@@ -307,6 +307,15 @@ def test_conjugate_and_kronecker_return_the_enumerated_object():
         assert chi is ch.from_label(abs(d), chi.label), d
 
 
+def _character_of_exponent_table(q, table, order):
+    """The enumerated primitive character mod q with this exponent table,
+    by a linear scan of the enumeration."""
+    for chi in ch.enumerate_primitive(q):
+        if chi.order == order and chi.exponents == table:
+            return chi
+    raise RuntimeError(f"character table not found in enumeration mod {q}")
+
+
 def test_conjugate_label_is_the_scans():
     # the label computed from the negated exponent vector is the one the
     # linear scan of the enumeration for the conjugate table finds
@@ -315,7 +324,19 @@ def test_conjugate_label_is_the_scans():
             if chi.order <= 2:
                 continue
             conj = tuple(None if k is None else -k % chi.order for k in chi.exponents)
-            assert chi.conjugate() is ch._character_of_exponent_table(q, conj, chi.order), (q, chi.label)
+            want = _character_of_exponent_table(q, conj, chi.order)
+            assert chi.conjugate() is want, (q, chi.label)
+
+
+def test_kronecker_label_is_the_scans():
+    # the label computed from (d|g) at the generators is the one the linear
+    # scan of the enumeration for the table n -> (d|n) finds
+    ds = [d for n in range(3, 1001) for d in (n, -n) if ch._is_fundamental_discriminant(d)]
+    assert len(ds) == 607 and {-3, -4, 8, -8, -23, 229} <= set(ds)
+    for d in ds:
+        q = abs(d)
+        table = tuple({1: 0, -1: 1}.get(ch.kronecker_symbol(d, a)) for a in range(q))
+        assert ch.kronecker_character(d) is _character_of_exponent_table(q, table, 2), d
 
 
 def test_a_character_stays_one_object_after_many_moduli():

@@ -873,3 +873,143 @@ def test_err_is_honest_around_s_equals_1(chi5, chi7_complex, chi23, chi229):
                 assert abs(v.value - ref) <= v.err + allowance, (chi.q, s, route, deriv)
                 assert v.err <= 1e-9 * (1.0 + abs(v.value)), (chi.q, s, route, deriv)
     lf.clear_cache()
+
+
+# ----------------------------------------------------------------------
+# the pass cache: one Hurwitz engine row per (q, s), shared by the
+# characters mod q from the second label on
+
+def _odd_mod_23():
+    return [c for c in ch.enumerate_primitive(23) if c.kappa == 1]
+
+
+def _engine_points(monkeypatch):
+    """A list that collects the number of points of each engine call."""
+    core, calls = lf._hurwitz_core_many, []
+
+    def counting(S, params, a, want_ds):
+        calls.append(len(S))
+        return core(S, params, a, want_ds)
+
+    monkeypatch.setattr(lf, "_hurwitz_core_many", counting)
+    return calls
+
+
+def _reprs(values):
+    return [(repr(v.value), repr(v.err)) for v in values]
+
+
+def test_pass_cache_keeps_the_bytes_of_L_prime_on_the_origin_rectangle(monkeypatch):
+    # every odd chi mod 23 winds L' on (-2, 0) x (-20, 20), one after the
+    # other: each sample's value and bar are those of a cold cache, while
+    # the characters after the second take most passes from stored rows
+    from lderiv.zeros import rectangle, winding_count
+
+    box = rectangle(-2.0, 0.0, -20.0, 20.0)
+    engine = _engine_points(monkeypatch)
+    lf.clear_cache()
+    warm = {}
+    for chi in _odd_mod_23():
+        got = warm[chi.label] = []
+
+        def sampled(s):
+            got.append((s, lf.eval_Lprime(chi, s)))
+            return got[-1][1]
+
+        assert winding_count(sampled, box) == 1
+    shared = sum(engine)
+    assert lf._PASSES.rows
+    engine.clear()
+    for chi in _odd_mod_23():
+        lf.clear_cache()
+        cold = [lf.eval_Lprime(chi, s) for s, _ in warm[chi.label]]
+        assert _reprs(cold) == _reprs(v for _, v in warm[chi.label]), chi.label
+        assert not lf._PASSES.rows  # one label alone stores nothing
+    assert shared < 0.4 * sum(engine), (shared, sum(engine))
+    lf.clear_cache()
+
+
+def test_pass_cache_serves_later_characters_with_no_engine_pass(monkeypatch):
+    # the first label of a modulus stores nothing; the second stores its
+    # rows; a third at the same points runs no engine pass, on the Hurwitz
+    # route and in the functional equation's L(1 - s), L'(1 - s) alike.
+    # A forced route takes no row and stores none.
+    pts = lattice_points(40, (-0.9, 1.9), (-20.0, 20.0), skip=lambda z: abs(z - 1.0) < 0.2)
+    assert min(z.real for z in pts) < 0.0 < max(z.real for z in pts)
+    first, second, third = _odd_mod_23()[:3]
+    engine = _engine_points(monkeypatch)
+    lf.clear_cache()
+    lf.eval_L_points(first, pts)
+    assert sum(engine) == len(pts) and not lf._PASSES.rows and lf._PASSES.nbytes == 0
+    lf.eval_L_points(second, pts)
+    assert sum(engine) == 2 * len(pts) and len(lf._PASSES.rows) == len(pts)
+    engine.clear()
+    got = lf.eval_L_points(third, pts)
+    assert engine == []
+    stored = dict(lf._PASSES.rows)
+    for route in ("hurwitz", "fe"):
+        on_route = [s for s in pts if (s.real < 0.0) == (route == "fe")]
+        for s in on_route:
+            lf._eval_many(third, [s], lf._PAIR, route)
+        assert len(engine) == len(on_route) and dict(lf._PASSES.rows) == stored
+        engine.clear()
+    lf.clear_cache()
+    assert not lf._PASSES.rows and lf._PASSES.nbytes == 0
+    cold = lf.eval_L_points(third, pts)
+    assert [_reprs((p.L, p.Lprime)) for p in got] == [_reprs((p.L, p.Lprime)) for p in cold]
+    lf.clear_cache()
+
+
+def test_pass_row_without_d_ds_serves_no_L_prime(monkeypatch):
+    first, second, third, fourth = _odd_mod_23()[:4]
+    s = 0.3 + 7.0j
+    engine = _engine_points(monkeypatch)
+    lf.clear_cache()
+    lf.eval_L(first, s)
+    lf.eval_L(second, s)  # stores the row without d/ds
+    assert lf._PASSES.lookup(23, s, False) is not None and lf._PASSES.lookup(23, s, True) is None
+    engine.clear()
+    lf.eval_L(third, s)
+    assert engine == []
+    got = lf.eval_Lprime(third, s)  # a pass of its own, whose row replaces the L-only one
+    assert engine == [1] and lf._PASSES.lookup(23, s, True) is not None
+    assert len(lf._PASSES.rows) == 1
+    row_bytes = 2 * 22 * 16 + lf._ROW_OVERHEAD
+    assert lf._PASSES.nbytes == row_bytes
+    engine.clear()
+    got4 = (lf.eval_L(fourth, s), lf.eval_Lprime(fourth, s))
+    assert engine == []
+    lf.clear_cache()
+    cold = lf.eval_Lprime(third, s)
+    lf.clear_cache()
+    cold4 = (lf.eval_L(fourth, s), lf.eval_Lprime(fourth, s))
+    assert _reprs([got, *got4]) == _reprs([cold, *cold4])
+    lf.clear_cache()
+
+
+def test_pass_cache_stays_within_its_budget(monkeypatch):
+    # every chi mod 61 on 481 points of Re s = 3/4: 481 rows with d/ds
+    # (60 residues) overflow the budget; after every store the charged
+    # bytes stay within it and add up, and every value equals the cold one
+    pts = [0.75 + 1j * (-9.6 + 0.04 * k) for k in range(481)]
+    chars = ch.enumerate_primitive(61)
+    cache = lf._PASSES
+    store, sizes = cache.store, []
+
+    def checked(q, s, row):
+        store(q, s, row)
+        assert cache.nbytes == sum(size for _, size in cache.rows.values()) <= cache.budget
+        sizes.append(cache.nbytes)
+
+    monkeypatch.setattr(cache, "store", checked)
+    lf.clear_cache()
+    warm = {chi.label: lf._eval_many(chi, pts, lf._PAIR) for chi in chars}
+    row_bytes = 2 * 60 * 16 + lf._ROW_OVERHEAD
+    assert len(pts) * row_bytes > cache.budget == 1 << 20
+    assert len(sizes) > len(pts) and max(sizes) > cache.budget - row_bytes
+    for chi in chars:
+        lf.clear_cache()
+        cold = lf._eval_many(chi, pts, lf._PAIR)
+        assert [_reprs(v) for v in cold] == [_reprs(v) for v in warm[chi.label]], chi.label
+    lf.clear_cache()
+    assert not cache.rows and cache.nbytes == 0

@@ -161,6 +161,15 @@ def test_speiser_scans_the_critical_line_once(chi229, monkeypatch):
     lfunc.clear_cache()
 
 
+def test_one_character_stores_no_pass(chi229):
+    # one label per modulus: the pass cache copies and holds nothing
+    lfunc.clear_cache()
+    rep = vf.check_speiser(chi229, 20.0)
+    assert rep.passed is True and lfunc._POINT_CACHE
+    assert not lfunc._PASSES.rows and lfunc._PASSES.nbytes == 0 and not lfunc._PASSES.shared
+    lfunc.clear_cache()
+
+
 def test_run_all_concurrency_deterministic(chi23):
     first = vf.run_all(chi23, T=5.0, with_constants=False)
     lfunc.clear_cache()

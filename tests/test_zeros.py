@@ -464,6 +464,85 @@ def test_illinois_on_a_sign_change():
     assert zr._illinois(lambda t: t - 0.25, 0.0, -0.25, 1.0, 0.75) == 0.25  # an exact zero
 
 
+def test_illinois_brackets_stepped_together_see_their_own_steps():
+    # each bracket of _illinois_many asks f at the x it asks alone and ends
+    # at the same point; a round holds one x of every open bracket
+    f = math.sin
+    ends = ((3.0, 3.3), (6.1, 6.5), (9.2, 9.9), (-0.5, 0.5))
+    brackets = [(lo, f(lo), hi, f(hi)) for lo, hi in ends]
+    alone, asked = [], []
+    for b in brackets:
+        calls = []
+        alone.append(zr._illinois(lambda t: calls.append(t) or f(t), *b))
+        asked.append(calls)
+    rounds = []
+    got = zr._illinois_many(lambda xs: rounds.append(list(xs)) or [f(x) for x in xs], brackets)
+    assert got == alone and got[3] == 0.0 and asked[3] == [0.0]  # an exact zero ends it
+    assert len(rounds) == max(len(c) for c in asked) > 3
+    for k, calls in enumerate(asked):  # bracket k's x are its own, in order
+        place = [sum(len(c) > r for c in asked[:k]) for r in range(len(calls))]
+        assert [rounds[r][i] for r, i in enumerate(place)] == calls
+
+
+def test_critical_line_refinement_takes_one_batch_per_round(chi229, monkeypatch):
+    # after the scan's two batches, each round of the refinement evaluates
+    # the next x of every open bracket in one _eval_many call: 6 calls at
+    # (229, 113), T = 20.02, for the same 187 points that took one
+    # one-point eval_L call each
+    sizes, one_point = [], []
+    many, lf_many = zr._eval_many, lf._eval_many
+
+    def recording(chi, points, derivs, route="auto"):
+        sizes.append(len(points))
+        return many(chi, points, derivs, route)
+
+    def one_point_calls(chi, points, derivs, route="auto"):
+        one_point.append(len(points))
+        return lf_many(chi, points, derivs, route)
+
+    lf.clear_cache()
+    monkeypatch.setattr(zr, "_eval_many", recording)
+    monkeypatch.setattr(lf, "_eval_many", one_point_calls)
+    got = zr.critical_line_zeros(chi229, 20.02)
+    rounds = sizes[2:]
+    assert one_point == [] and len(got) == 36
+    assert rounds[0] == len(got) and rounds == sorted(rounds, reverse=True)
+    assert sum(rounds) == 187 and len(rounds) == 6
+    lf.clear_cache()
+
+
+def test_newton_takes_one_block_per_step(chi5, monkeypatch):
+    # list_zeros' Newton steps take f(z), f(z + h) and f(z - h) in one
+    # _eval_many call each; three one-point f calls a step without f.many
+    newton, many = zr._newton, zr._eval_many
+    blocks, runs = [], []  # _eval_many sizes inside the Newton call running
+
+    def recording_many(chi, points, derivs, route="auto"):
+        if blocks:
+            blocks[-1].append(len(points))
+        return many(chi, points, derivs, route)
+
+    def recording_newton(f, z0, *args, **kwargs):
+        blocks.append([])
+        try:
+            z = newton(f, z0, *args, **kwargs)
+        finally:
+            inside = blocks.pop()
+        calls = []  # the same iteration again, one f call a point (values cached)
+        assert newton(lambda w: calls.append(w) or f(w), z0, *args, **kwargs) == z
+        runs.append((inside, len(calls)))
+        return z
+
+    lf.clear_cache()
+    monkeypatch.setattr(zr, "_eval_many", recording_many)
+    monkeypatch.setattr(zr, "_newton", recording_newton)
+    recs = zr.list_zeros(chi5, zr.rectangle(0.0, 20.0, -10.0, 10.0))
+    assert len(recs) == 2 and runs
+    for inside, calls in runs:
+        assert calls % 3 == 0 and inside == [3] * (calls // 3), (inside, calls)
+    lf.clear_cache()
+
+
 def test_walker_first_samples_through_the_many_point_form(chi5, chi229, monkeypatch):
     """The walker's first samples of each piece through f.many give the same
     variation and the same point cache as one call per sample, and count
