@@ -31,10 +31,10 @@ cached are evaluated and cached under their own (q, label, s, deriv) keys;
 a forced route touches no cache.  A one-point call whose values are all
 cached returns them without planning a block.  The auto route also looks
 each Hurwitz pass up in the pass cache (_PassCache): the engine row of a
-pass at s depends on q and s alone, so once a second label of a modulus
-has asked for a pass since clear_cache, the rows are kept, within a byte
-budget, and serve every character mod q at s with its own weights, the
-bytes of its own pass; a run with one character per modulus keeps none.
+pass at s depends on q and s alone, so once a second label of the modulus
+in hand has asked for a pass, the rows are kept while they fit a byte
+budget, none evicted, and serve every character mod q at s with its own
+weights, the bytes of its own pass.  A pass of another modulus drops them.
 L and L' at the same point come from one pass of a route: one
 Euler-Maclaurin engine result (whose d/ds pass yields L bit for bit), one
 array of Dirichlet-series terms summed to each value's own cutoff, or one
@@ -56,7 +56,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional
 
@@ -141,9 +140,9 @@ _PAIR = (False, True)  # the derivs of a one-pass (L, L') request
 
 
 def clear_cache() -> None:
-    """Empty the point cache and the pass cache, and forget which labels
-    have asked for a Hurwitz pass: a modulus shares its passes again only
-    once a second label of it asks."""
+    """Empty the point cache and the pass cache, and forget the modulus in
+    hand: the passes are shared again only once a second label of one
+    modulus asks."""
     _POINT_CACHE.clear()
     _PASSES.clear()
 
@@ -165,40 +164,42 @@ _ROW_OVERHEAD = 400  # bytes charged to a stored row besides its arrays
 
 
 class _PassCache:
-    """Engine rows of Hurwitz passes, shared by the characters of a modulus.
+    """Engine rows of Hurwitz passes, shared by the characters of the
+    modulus in hand.
 
     A row is what special._hurwitz_core_many yields for one point: the
     per-residue values, the d/ds values or None, and the two summed bars.
     It depends on q and s alone -- the residues a/q and the engine's
     (N, K, rem) -- so every character mod q takes a stored row with its own
     weights (_hurwitz_values) and gets the bytes its own pass would give.
-    A row without d/ds serves no L'.  Rows of a modulus are stored only
-    once a block of a second label of it has asked for a pass since the
-    last clear, so a run with one character per modulus stores nothing.
-    Each row is a copy (the engine's is a view that keeps its whole
-    chunk), charged its arrays' bytes plus _ROW_OVERHEAD, and the rows are
-    held within budget bytes, the oldest evicted first (popitem in O(1))."""
+    A row without d/ds serves no L'.  Once a second label of the modulus
+    has asked for a pass, each row is stored as a copy (the engine's is a
+    view that keeps its whole chunk), charged its arrays' bytes plus
+    _ROW_OVERHEAD, while it fits the budget.  None is evicted: a walker
+    asks for its contour in the same order for every character, so the
+    first rows kept serve the next one first.  A block of another modulus
+    drops every row."""
 
     def __init__(self, budget: int):
         self.budget = budget
-        self.rows: OrderedDict = OrderedDict()  # (q, s) -> (row, bytes charged)
-        self.nbytes = 0
-        self.first: dict = {}  # q -> the first label of q to ask for a pass
-        self.shared: set = set()  # the q a second label has asked of
+        self.rows: dict = {}  # (q, s) -> (row, bytes charged)
+        self.clear()
 
     def clear(self) -> None:
         self.rows.clear()
         self.nbytes = 0
-        self.first.clear()
-        self.shared.clear()
+        self.q = self.first = None  # the modulus in hand and its first label to ask
+        self.shared = False  # whether a second label of q has asked
 
     def sharing(self, chi: DirichletCharacter) -> bool:
         """Whether a second label of chi.q has asked for a pass since the
-        last clear, counting chi's ask."""
-        q = chi.q
-        if q not in self.shared and self.first.setdefault(q, chi.label) != chi.label:
-            self.shared.add(q)
-        return q in self.shared
+        last clear or change of modulus, counting chi's ask."""
+        if chi.q != self.q:
+            self.clear()
+            self.q, self.first = chi.q, chi.label
+        elif chi.label != self.first:
+            self.shared = True
+        return self.shared
 
     def lookup(self, q: int, s: complex, want_ds: bool):
         """The stored row at (q, s), if it has d/ds when want_ds, or None."""
@@ -208,18 +209,14 @@ class _PassCache:
         return got[0]
 
     def store(self, q: int, s: complex, row: tuple) -> None:
-        """Keep a copy of the engine row at (q, s), evicting the oldest rows
-        past the budget."""
+        """Keep a copy of the engine row at (q, s) in place of any stored
+        there, if it fits the budget."""
         vals, dvals, err, err_ds = row
-        row = (vals.copy(), None if dvals is None else dvals.copy(), err, err_ds)
         size = vals.nbytes + (0 if dvals is None else dvals.nbytes) + _ROW_OVERHEAD
-        old = self.rows.pop((q, s), None)
-        if old is not None:
-            self.nbytes -= old[1]
-        self.rows[q, s] = (row, size)
-        self.nbytes += size
-        while self.nbytes > self.budget:
-            self.nbytes -= self.rows.popitem(last=False)[1][1]
+        self.nbytes -= self.rows.pop((q, s), (None, 0))[1]
+        if self.nbytes + size <= self.budget:
+            self.rows[q, s] = ((vals.copy(), None if dvals is None else dvals.copy(), err, err_ds), size)
+            self.nbytes += size
 
 
 _PASSES = _PassCache(1 << 20)
@@ -742,6 +739,8 @@ def _grid_eval(chi: DirichletCharacter, S: np.ndarray, deriv: bool):
     S = np.asarray(S, dtype=complex).ravel()
     if not np.isfinite(S).all():
         raise DomainError("grid points must be finite")
+    if not S.size:
+        return np.empty(0, complex), np.empty(0)
     sigma, t = _distinct(S.real), _distinct(S.imag)
     index = np.int32 if S.size < 2**31 else np.intp  # half the memory of a scan's indices
     rows = np.searchsorted(sigma, S.real).astype(index)

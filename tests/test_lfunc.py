@@ -662,6 +662,17 @@ def test_grid_values_do_not_depend_on_the_product_around_them(chi5, chi7_complex
                     assert abs(vals[k] - v[0]) <= errs[k] + e[0], (chi.q, deriv, pts[k])
 
 
+def test_empty_grid_gives_empty_arrays(chi5):
+    # as eval_L_points(chi, []) gives []
+    assert lf.eval_L_points(chi5, []) == []
+    for grid in (lf.eval_L_grid, lf.eval_Lprime_grid):
+        for S in ([], np.array([], dtype=complex)):
+            got = grid(chi5, S)
+            assert isinstance(got, np.ndarray) and got.shape == (0,) and got.dtype == complex
+    vals, errs = lf._grid_eval(chi5, [], True)
+    assert vals.shape == errs.shape == (0,) and errs.dtype == float
+
+
 # ----------------------------------------------------------------------
 # the many-point form of the auto route against the scalar calls it batches
 
@@ -1013,3 +1024,57 @@ def test_pass_cache_stays_within_its_budget(monkeypatch):
         assert [_reprs(v) for v in cold] == [_reprs(v) for v in warm[chi.label]], chi.label
     lf.clear_cache()
     assert not cache.rows and cache.nbytes == 0
+
+
+def test_pass_cache_keeps_its_first_rows_when_a_winding_outgrows_the_budget(monkeypatch):
+    # the first three odd chi mod 229 wind L' on (-2, 0) x (-20, 20), one
+    # after the other: a winding asks for about 450 passes, and the budget
+    # holds 136 rows of 7696 bytes.  The rows kept are the first ones asked
+    # for, which the next character asks for first, so the third sends at
+    # most 3/4 of its cold engine points; every value and bar is the cold one
+    from lderiv.zeros import rectangle, winding_count
+
+    box = rectangle(-2.0, 0.0, -20.0, 20.0)
+    chars = [c for c in ch.enumerate_primitive(229) if c.kappa == 1][:3]
+    engine = _engine_points(monkeypatch)
+    lf.clear_cache()
+    warm = {}
+    for chi in chars:
+        got = warm[chi.label] = []
+
+        def sampled(s):
+            got.append((s, lf.eval_Lprime(chi, s)))
+            return got[-1][1]
+
+        engine.clear()
+        assert winding_count(sampled, box) == 1
+    third = sum(engine)  # the engine points of the third winding
+    row_bytes = 2 * 228 * 16 + lf._ROW_OVERHEAD
+    assert len(lf._PASSES.rows) * row_bytes == lf._PASSES.nbytes <= lf._PASSES.budget
+    assert lf._PASSES.budget < len(warm[chars[0].label]) * row_bytes
+    for chi in chars:
+        lf.clear_cache()
+        engine.clear()
+        cold = [lf.eval_Lprime(chi, s) for s, _ in warm[chi.label]]
+        assert _reprs(cold) == _reprs(v for _, v in warm[chi.label]), chi.label
+    assert third <= 0.75 * sum(engine), (third, sum(engine))
+    lf.clear_cache()
+
+
+def test_pass_cache_drops_its_rows_when_the_modulus_changes(monkeypatch):
+    # the cache holds the modulus in hand: one block of a chi mod 29 drops
+    # the rows mod 23, and the next label mod 23 is the first again
+    first, second, third, fourth = _odd_mod_23()[:4]
+    pts = [0.3 + 2.0j * k for k in range(6)]
+    lf.clear_cache()
+    lf.eval_L_points(first, pts)
+    lf.eval_L_points(second, pts)
+    assert len(lf._PASSES.rows) == len(pts) and lf._PASSES.nbytes > 0
+    lf.eval_L_points(ch.enumerate_primitive(29)[0], [0.3 + 7.0j])
+    assert not lf._PASSES.rows and lf._PASSES.nbytes == 0
+    engine = _engine_points(monkeypatch)
+    lf.eval_L_points(third, pts)  # the first label mod 23 again
+    assert sum(engine) == len(pts) and not lf._PASSES.rows and lf._PASSES.nbytes == 0
+    lf.eval_L_points(fourth, pts)  # the second: it stores its rows
+    assert sum(engine) == 2 * len(pts) and len(lf._PASSES.rows) == len(pts)
+    lf.clear_cache()
