@@ -8,8 +8,8 @@ Continuation strategy (route="auto"):
               at most the A (N + 2K) terms of a Hurwitz pass (A residues,
               (N, K) the Euler-Maclaurin pair at s); else the Hurwitz route;
   0 <= Re s < 2   q^(-s) * sum_a chi(a) zeta(s, a/q) via Euler-Maclaurin
-              Hurwitz zeta, but within 1/8 of s = 1 (where the per-residue
-              pole terms cancel) via special.hurwitz_grid, forced or not;
+              Hurwitz zeta, whose entries near s = 1 leave out the pole
+              1/(s - 1) that the weights chi(a) cancel, forced or not;
   Re s < 0    the functional equation L(s,chi) = F(s,chi) L(1-s, conj chi),
               with L(1-s) evaluated in the half-plane Re >= 1 by the two
               routes above.
@@ -38,18 +38,17 @@ weights, the bytes of its own pass.  A pass of another modulus drops them.
 L and L' at the same point come from one pass of a route: one
 Euler-Maclaurin engine result (whose d/ds pass yields L bit for bit), one
 array of Dirichlet-series terms summed to each value's own cutoff, or one
-F(s) with one L(1-s), L'(1-s) pair, which is not cached (near s = 1, one
-hurwitz_grid call each).  The
-Hurwitz-engine work of a block of points -- the Hurwitz route and the
-functional equation's inner L(1-s), L'(1-s) -- goes through the engine in
-one call per chunk of points that share (N, K) (one point alone takes the
-engine's scalar form); the series route and F(s) stay one call per point.
-Every value and bar is the same bytes however the points are batched.
+F(s) with one L(1-s), L'(1-s) pair, which is not cached.  The Hurwitz-engine
+work of a block of points -- the Hurwitz route and the functional
+equation's inner L(1-s), L'(1-s), s = 1 included -- goes through the engine
+in one call per chunk of points that share (N, K) (one point alone takes
+the engine's scalar form); the series route and F(s) stay one call per
+point.  Every value and bar is the same bytes however the points are batched.
 
-eval_L_grid and eval_Lprime_grid serve arrays of points with Re s > 0 (the
-zero oracle's grids) outside the point cache: one special.hurwitz_grid call
-over the distinct real parts x the distinct imaginary parts; the zero
-oracle also reads each value's error bound from _grid_eval.
+Only eval_L_grid and eval_Lprime_grid, never the planner, take the grid
+engine: points with Re s > 0 (the zero oracle's grids), outside the point
+cache, in one special.hurwitz_grid call over the distinct real x imaginary
+parts; the zero oracle also reads each value's error bound from _grid_eval.
 """
 
 from __future__ import annotations
@@ -66,7 +65,6 @@ from .errors import DomainError, NearZeroError, NumericalError, PoleError, Preci
 from .numtypes import ComplexValue
 from .special import (
     _EPS,
-    _POLE_DISK,
     _choose_em_params,
     _digamma,
     _em_candidates,
@@ -478,14 +476,9 @@ _ROUTES = ("series", "hurwitz", "fe")  # the routes a caller may force
 
 
 def _leaf(leaves: list, chi: DirichletCharacter, s: complex, derivs: tuple,
-          params: Optional[tuple] = None) -> int | tuple:
+          params: Optional[tuple] = None) -> int:
     """Defer a Hurwitz pass at s to leaves, with the engine's (N, K, rem)
-    for it (params, or _em_pair's when None): its index; or within _POLE_DISK
-    of s = 1, _grid_eval's values, whose expm1 pole term does not cancel (one
-    point a call, as a grid's (N, K) depends on all of its points)."""
-    if abs(s - 1.0) < _POLE_DISK:
-        return tuple(ComplexValue(complex(v[0]), float(e[0]))
-                     for v, e in (_grid_eval(chi, [s], d) for d in derivs))
+    for it (params, or _em_pair's when None): its index, s = 1 included."""
     leaves.append((chi, s, derivs, _em_pair(chi, s) if params is None else params))
     return len(leaves) - 1
 
@@ -541,11 +534,11 @@ def _eval_block(chi: DirichletCharacter, points: list, derivs: tuple, route: str
     cache, plans the rest of the point on the functional equation below
     Re s = 0, the upper route (_upper_parts) from Re s = 2 on and Hurwitz
     between, and caches what it evaluates; the _ROUTES plan every point on
-    that route and touch no cache.  The Hurwitz passes (but near s = 1, see
-    _leaf) that the auto route does not find in the pass cache go through
-    special._hurwitz_core_many together.  Points are checked and planned
-    in order, so the first one refused raises: outside the window, an
-    unknown route, or its route's own refusal."""
+    that route and touch no cache.  The Hurwitz passes that the auto route
+    does not find in the pass cache go through special._hurwitz_core_many
+    together.  Points are checked and planned in order, so the first one
+    refused raises: outside the window, an unknown route, or its route's
+    own refusal."""
     got: dict = {}  # (s, deriv) -> value, for the answer
     todo: dict = {}  # s -> (derivs to evaluate, (F, F') or None, passes)
     leaves: list = []  # (character, point, derivs, (N, K, rem)) of each Hurwitz pass

@@ -11,10 +11,12 @@ bit for bit the single-point evaluations.  Its correction loop takes the
 Pochhammer factors (s)_{2j-1} and their d/ds from _pochhammer, one CPython
 call per point, and leaves only the array products and in-place sums to
 NumPy.  _hurwitz_core_many feeds it the points of a batch grouped by their
-own (N, K), a lone point in the scalar form, and turns its output into
-error bars summed over the residues, once per chunk; _hurwitz_core, the
-per-residue form, is its one-point twin.  The derivative in s comes from
-termwise differentiation of the same expansion.
+own (N, K) and side of the pole disk, a lone point in the scalar form, and
+turns its output into error bars summed over the residues, once per chunk;
+_hurwitz_core, the per-residue form, is its one-point twin.  The
+derivative in s comes from termwise differentiation of the same expansion.
+Near s = 1 the engine leaves out the pole 1/(s - 1), which a character's
+weights cancel, and takes the rest in expm1 form; _hurwitz_core adds it back.
 
 The grids of the zero scans go through hurwitz_grid, which evaluates
 sum_m f(m) m^-s for q-periodic f on a product of real parts sigma and
@@ -275,6 +277,23 @@ def _pochhammer(s: complex, K: int) -> tuple[list, list]:
     return Ps, dPs
 
 
+_POLE_DISK = 0.125  # within it of s = 1 the engines take the pole term in expm1 form
+
+
+def _phi(u: np.ndarray, u_max: float, d: int) -> np.ndarray:
+    """phi(u) = expm1(u) / u = sum u^k / (k + 1)! (d = 0) or phi'(u) (d = 1) on
+    the array u, |u| <= u_max, by Horner with the terms down to eps/16 at u_max."""
+    n, bound = 1, u_max
+    while bound >= _EPS / 16:
+        n += 1
+        bound *= u_max / (n + 1)
+    coefs = [(k + 1) ** d / math.factorial(k + 1 + d) for k in range(n + 1)]
+    series = np.full(u.shape, coefs[n], dtype=complex)
+    for c in reversed(coefs[:n]):
+        series = series * u + c
+    return series
+
+
 def _em_eval(s, a: np.ndarray, N: int, K: int, want_ds: bool):
     """Euler-Maclaurin evaluation of zeta(s, a) (and d/ds) for an array of a.
 
@@ -282,8 +301,13 @@ def _em_eval(s, a: np.ndarray, N: int, K: int, want_ds: bool):
     (C,), giving results of shape (C, A) whose rows are bit for bit the
     scalar calls.  Returns (vals, dvals, absacc): dvals is None unless
     want_ds; absacc holds the summed magnitudes behind the rounding estimate.
+    Within _POLE_DISK of s = 1 (a batch's first point decides) each entry
+    leaves out the pole 1/(s - 1), which chi's weights cancel: the rest,
+    x^(1-s) / (s - 1) - 1/(s - 1), is -log x phi(u) with u = (1 - s) log x,
+    |u| < _POLE_DISK log(N + 1), and its d/ds log^2 x phi'(u).
     """
     batch = isinstance(s, np.ndarray)
+    near = abs((s[0] if batch else s) - 1.0) < _POLE_DISK
     if batch:
         s = np.asarray(s, dtype=complex)[:, None]  # (C, 1) against a's (A,)
         s_n = s[:, :, None]  # (C, 1, 1) against the (A, N) summands
@@ -310,19 +334,25 @@ def _em_eval(s, a: np.ndarray, N: int, K: int, want_ds: bool):
         dsum = -terms.sum(axis=-1)
     del terms
 
-    xp1ms = np.exp((1.0 - s) * logx)
-    main1 = xp1ms / (s - 1.0)
+    if near:
+        u, u_max = (1.0 - s) * logx, _POLE_DISK * math.log(N + 1.0)
+        main1 = -logx * _phi(u, u_max, 0)
+    else:
+        xp1ms = np.exp((1.0 - s) * logx)
+        main1 = xp1ms / (s - 1.0)
     xpms = np.exp(-s * logx)
     main2 = 0.5 * xpms
     vals = psum + main1 + main2
     absacc = absacc + np.abs(main1) + np.abs(main2)
     dvals = None
     if want_ds:
-        if batch:  # CPython's complex power and quotient, as a scalar call has them
+        if near:
+            dmain1 = logx * logx * _phi(u, u_max, 1)
+        elif batch:  # CPython's complex power and quotient, as a scalar call has them
             inv_sq = np.array([1.0 / (z - 1.0) ** 2 for z in s[:, 0].tolist()])[:, None]
+            dmain1 = xp1ms * (-logx / (s - 1.0) - inv_sq)
         else:
-            inv_sq = 1.0 / (s - 1.0) ** 2
-        dmain1 = xp1ms * (-logx / (s - 1.0) - inv_sq)
+            dmain1 = xp1ms * (-logx / (s - 1.0) - 1.0 / (s - 1.0) ** 2)
         dmain2 = -0.5 * logx * xpms
         dvals = dsum + dmain1 + dmain2
 
@@ -349,6 +379,7 @@ def _hurwitz_core(s: complex, a: np.ndarray, want_ds: bool, tol: float):
 
     errs combine the proven remainder bound with a conservative rounding
     term; rem is the remainder bound alone (what the (N, K) policy controls).
+    Near s = 1 it adds back the pole terms the engine leaves out.
     """
     s = complex(s)
     if s == 1.0:
@@ -358,7 +389,13 @@ def _hurwitz_core(s: complex, a: np.ndarray, want_ds: bool, tol: float):
         raise DomainError("shift parameter a must lie in (0, 1]")
     N, K, rem = _choose_em_params(s, float(a.min()), tol)
     vals, dvals, absacc = _em_eval(s, a, N, K, want_ds)
-    return (vals, dvals) + _em_errs(rem, _em_rounding(s, N), N, K, absacc, want_ds) + (rem,)
+    errs, errs_ds = _em_errs(rem, _em_rounding(s, N), N, K, absacc, want_ds)
+    z = s - 1.0
+    if abs(z) < _POLE_DISK:  # add 1/z and -1/z^2 back, charging their rounding
+        vals, errs = vals + 1.0 / z, errs + 4 * _EPS / abs(z)
+        if want_ds:
+            dvals, errs_ds = dvals - 1.0 / (z * z), errs_ds + 8 * _EPS / abs(z) ** 2
+    return vals, dvals, errs, errs_ds, rem
 
 
 def _em_rounding(s: complex, N: int) -> float:
@@ -398,12 +435,12 @@ _BATCH_ENTRIES = 1 << 16  # bounds a batch chunk's C * A * N engine entries (1 M
 
 def _hurwitz_core_many(S, params, a: np.ndarray, want_ds: bool):
     """At each point of the list S, whose (N, K, rem) _choose_em_params gave
-    as params, the engine's (vals, dvals) and the sums over a of
-    _hurwitz_core's errs and errs_ds (floats; errs_ds None unless want_ds),
-    yielded as (i, tuple) and bit for bit the scalar calls: the points are
-    grouped by (N, K), and each group goes through the engine's array form
-    in chunks of at most _BATCH_ENTRIES entries of C * A * N; one point
-    alone takes the scalar form, which costs a fraction of a one-row batch.
+    as params, the engine's (vals, dvals) and the sums over a of _em_errs's
+    errs and errs_ds (floats; errs_ds None unless want_ds), yielded as
+    (i, tuple) and bit for bit the scalar calls: the points are grouped by
+    (N, K) and side of _POLE_DISK, and each group goes through the engine's
+    array form in chunks of at most _BATCH_ENTRIES entries of C * A * N; one
+    point alone takes the scalar form, which costs a fraction of a one-row batch.
     A chunk's bars are summed once, a row each (errs.sum(axis=1) is
     np.sum of each row, bit for bit).  a holds valid shifts.  Every row is
     a view of its chunk's arrays, so a consumer that keeps a row keeps its
@@ -416,8 +453,8 @@ def _hurwitz_core_many(S, params, a: np.ndarray, want_ds: bool):
         return
     groups: dict = {}
     for i, (N, K, _) in enumerate(params):
-        groups.setdefault((N, K), []).append(i)
-    for (N, K), idx in groups.items():
+        groups.setdefault((N, K, abs(S[i] - 1.0) < _POLE_DISK), []).append(i)
+    for (N, K, _), idx in groups.items():
         step = max(1, _BATCH_ENTRIES // (len(a) * N))
         for start in range(0, len(idx), step):
             chunk = idx[start:start + step]
@@ -448,7 +485,6 @@ _GRID_TOL = 1e-12  # target of each grid value's remainder bound
 _GRID_N_CAP = 4000
 _GRID_K_CAP = 40
 _GRID_ENTRIES = 1 << 17  # bounds a chunk's transient arrays (2 MiB of complex each)
-_POLE_DISK = 0.125  # requested points closer to s = 1 take the pole term in expm1 form
 _EPS_LD = float(np.finfo(np.longdouble).eps)
 _TWO_PI_LD = 8 * np.arctan(np.longdouble(1))
 
@@ -529,24 +565,14 @@ def _pole_near(z: np.ndarray, w: np.ndarray, log_x: np.ndarray, q: int, want_ds:
 
     As sum_a w_a = 0 the term equals (1/q) sum_a w_a expm1(u_a) / z with
     u_a = -z log X_a, that is -(1/q) sum_a w_a log X_a phi(u_a) where
-    phi(u) = expm1(u) / u; its d/ds is (1/q) sum_a w_a log^2 X_a phi'(u_a).
-    Both series converge fast for |u| <= _POLE_DISK log X, and neither
-    cancels the way X^(1-s) / (s - 1) does across the residues.
+    phi(u) = expm1(u) / u; its d/ds is (1/q) sum_a w_a log^2 X_a phi'(u_a),
+    both from _phi, as in _em_eval.  Neither cancels the way
+    X^(1-s) / (s - 1) does across the residues.
     """
     u = -np.multiply.outer(z, log_x)
-    u_max = float(np.abs(u).max())
-    n, bound = 1, u_max  # terms until u_max^n / (n + 1)! < eps / 16
-    while bound >= _EPS / 16:
-        n += 1
-        bound *= u_max / (n + 1)
     d = 1 if want_ds else 0
-    # phi(u) = sum u^k / (k + 1)!, phi'(u) = sum (k + 1) u^k / (k + 2)!
-    coefs = [(k + 1) ** d / math.factorial(k + 1 + d) for k in range(n + 1)]
-    series = np.full(u.shape, coefs[n], dtype=complex)
-    for c in reversed(coefs[:n]):
-        series = series * u + c
     weight = log_x ** (1 + d) / q
-    val = (series * weight) @ w * (1.0 if want_ds else -1.0)
+    val = (_phi(u, float(np.abs(u).max()), d) * weight) @ w * (1.0 if want_ds else -1.0)
     mag = (np.exp(np.abs(u)) * weight) @ np.abs(w)
     return val, mag
 

@@ -699,8 +699,10 @@ def _warm(chi, points):
 
 def _batch_points(chi):
     # every route band of _pair_points, a D1-like band of the functional
-    # equation next to the Hurwitz band, and every fifth point again
+    # equation next to the Hurwitz band, the rings inside the pole disk
+    # around s = 1, and every fifth point again
     pts = _pair_points(chi) + lattice_points(12, (-3.0, 0.5), (-40.0, 40.0))
+    pts += [s for s in _rings_around_1() if abs(s - 1.0) < sp._POLE_DISK]
     return pts + pts[::5], len(pts)
 
 
@@ -849,7 +851,7 @@ def test_err_is_honest_at_large_imaginary_parts():
 def _rings_around_1():
     """Points on |s - 1| = 10^-k, k = 2, 4, ..., 12, two per ring (one on the
     real axis, alternately right and left of 1), and two on |s - 1| = 0.13,
-    just outside the disk where the Hurwitz pass comes from the grid."""
+    just outside the disk where the engine's rows leave out the pole."""
     pts = []
     for k in range(2, 13, 2):
         r = 10.0 ** -k
@@ -968,6 +970,32 @@ def test_pass_cache_serves_later_characters_with_no_engine_pass(monkeypatch):
     assert not lf._PASSES.rows and lf._PASSES.nbytes == 0
     cold = lf.eval_L_points(third, pts)
     assert [_reprs((p.L, p.Lprime)) for p in got] == [_reprs((p.L, p.Lprime)) for p in cold]
+    lf.clear_cache()
+
+
+def test_passes_near_s_equals_1_share_rows_and_never_reach_the_grid(monkeypatch):
+    # inside the pole disk a Hurwitz pass batches and shares its row like any
+    # other: of the odd chi mod 23 on the rings, the first stores nothing, the
+    # second stores its rows, and the third takes them with no engine point,
+    # its values and bars those of its cold run.  The grid engine is not called.
+    def no_grid(*args):
+        raise AssertionError("the planner reached the grid engine")
+
+    monkeypatch.setattr(lf, "_grid_eval", no_grid)
+    ring = [s for s in _rings_around_1() if abs(s - 1.0) < sp._POLE_DISK]
+    first, second, third = _odd_mod_23()[:3]
+    engine = _engine_points(monkeypatch)
+    lf.clear_cache()
+    lf.eval_L_points(first, ring)
+    lf.eval_L_points(second, ring)
+    assert engine == [len(ring)] * 2 and len(lf._PASSES.rows) == len(ring)
+    engine.clear()
+    warm = lf.eval_L_points(third, ring)
+    assert engine == []
+    lf.clear_cache()
+    cold = lf.eval_L_points(third, ring)
+    assert engine == [len(ring)]
+    assert [_reprs((p.L, p.Lprime)) for p in warm] == [_reprs((p.L, p.Lprime)) for p in cold]
     lf.clear_cache()
 
 

@@ -596,6 +596,19 @@ def test_em_eval_matches_the_former_correction_loop_bytewise():
 _RING = [1.0 + 10.0 ** -k * cmath.exp(1j * (0.7 + 2.1 * k)) for k in range(3, 11)]
 
 
+def test_hurwitz_err_is_honest_around_s_equals_1():
+    """|value - mpmath| <= err for zeta(s, a) and its d/ds on the ring: the
+    pole terms 1/(s - 1) and -1/(s - 1)^2 are added to the engine's entries
+    and charge their rounding, eps / |s - 1| and eps / |s - 1|^2, to the bars."""
+    for s in _RING:
+        for a in (0.5, 0.2, 1.0):
+            with mpmath.workdps(40):
+                refs = [complex(mpmath.zeta(mpmath.mpc(s), a, k)) for k in (0, 1)]
+            for fn, ref in zip((sp.hurwitz_zeta, sp.hurwitz_zeta_ds), refs):
+                got = fn(s, a)
+                assert abs(got.value - ref) <= got.err, (fn.__name__, s, a, abs(got.value - ref), got.err)
+
+
 def test_hurwitz_grid_err_is_honest_and_guarded(chi5, chi7_complex, chi229):
     """|grid - mpmath| <= err for L and L' over 0 < Re s <= 8, |Im s| <= 101,
     on the ring and at s = 1; off the ring err <= 1e-9 (1 + |value|).
