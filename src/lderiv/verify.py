@@ -312,12 +312,14 @@ def check_distance_sum_asymptotic(
 
 
 def _logderiv_ratio(chi: DirichletCharacter):
-    """s -> L'/L(s) with its bar, and its many-point form f.many (the walker
-    batches its first samples of each piece through it).  Unlike
-    LPoint.logderiv it has no noise floor: the winding needs every sample."""
+    """s -> L'/L(s) with its bar, its many-point form f.many (the walker
+    batches its first samples of each piece through it), and
+    f.conj_symmetric for a real chi.  Unlike LPoint.logderiv it has no
+    noise floor: the winding needs every sample."""
     ratio = lambda pt: _quotient(pt.Lprime, pt.L)
     f = lambda s: ratio(eval_L_point(chi, s))
     f.many = lambda points: [ratio(pt) for pt in eval_L_points(chi, points)]
+    f.conj_symmetric = chi.is_quadratic
     return f
 
 

@@ -8,14 +8,19 @@ evaluation error.  Hitting the refinement floor means a zero sits on (or
 numerically on) the contour, which is reported, never guessed around.
 The initial samples of each piece go through the evaluator's many-point
 form when it has one (the L and L' evaluators here do); refinement stays
-one point at a time.
+one point at a time.  An evaluator of a real chi declares
+f.conj_symmetric, f(conj s) = conj f(s); on a contour that is its own
+mirror image in the real axis the walker then walks only the half with
+Im s >= 0 and doubles its variation.
 
 Zeros of L on the critical line are the sign changes of the real function
-Z(t) on a fine grid in t.  Z is sampled coarse to fine: every fifth grid
-point in one batch, then every grid point of the coarse cells that show a
-sign change or border a coarse minimum of |Z| in a second; a sample whose
-sign is not certified by its error bar is refused, and each sign change is
-refined by the Illinois variant of regula falsi.
+Z(t) on the grid t = k spacing, |k| <= T/spacing.  Each half, t >= 0 and
+t <= 0, is sampled coarse to fine: every fifth grid point in one batch,
+then every grid point of the coarse cells that show a sign change or
+border a coarse minimum of |Z| in a second; a sample whose sign is not
+certified by its error bar is refused, and each sign change is refined by
+the Illinois variant of regula falsi.  For a real chi the lower half is
+the upper half mirrored, and is not sampled.
 
 Indentation sides are named by direction: a "left" semicircle bulges
 toward smaller Re s, so on the left edge of a rectangle it encloses the
@@ -176,6 +181,30 @@ class Contour:
                 cur = c - 1j * r
         yield _Segment(cur, z1)
 
+    def upper_half(self) -> Optional[list]:
+        """For a contour that is its own mirror image in the real axis
+        (t_min == -t_max, indentations closed under conjugation), the part
+        of pieces() with Im s >= 0: from where the right edge crosses the
+        real axis, anticlockwise to where the left edge does.  An arc
+        centred on the axis is cut at its point there.  None otherwise."""
+        mirrored = {Indentation(i.center.conjugate(), i.radius, i.side) for i in self.indentations}
+        if self.t_min != -self.t_max or mirrored != set(self.indentations):
+            return None
+        out: list = []
+        for p in self.pieces():
+            if isinstance(p, _Arc):
+                if p.center.imag > 0.0:
+                    out.append(p)
+                elif p.center.imag == 0.0:
+                    # the quarter between its point on the axis, at angle 0
+                    # or pi, and its top, at pi/2: sin(theta) >= 0 throughout
+                    axis = abs(0.5 * (p.theta0 + p.theta1))
+                    ends = (axis, -p.theta0) if p.theta0 < 0.0 else (p.theta0, axis)
+                    out.append(_Arc(p.center, p.radius, *ends))
+            elif max(p.z0.imag, p.z1.imag) > 0.0:  # an edge that crosses the axis is cut there
+                out.append(_Segment(*(complex(z.real, max(z.imag, 0.0)) for z in (p.z0, p.z1))))
+        return out
+
     def encloses(self, z: complex) -> bool:
         """Point strictly inside the indented region (geometry only)."""
         if not (self.sigma_left < z.real < self.sigma_right and self.t_min < z.imag < self.t_max):
@@ -252,8 +281,20 @@ def arg_variation(
     piece's initial samples go in one call through f's many-point form
     f.many(points), or one f call each when f has none.  Raises
     BoundaryZeroError when refinement cannot separate f from 0.
+
+    When f declares f.conj_symmetric, f(conj s) = conj f(s), and the
+    contour is a Contour that is its own mirror image in the real axis,
+    only its upper half (Contour.upper_half) is walked: the lower half
+    traces the conjugate values back again, so it adds the same variation,
+    and twice the upper half's is returned.  Any other f or contour,
+    circles included, is walked in full.
     """
-    pieces = contour.pieces() if isinstance(contour, Contour) else list(contour)
+    upper = None
+    if isinstance(contour, Contour):
+        upper = contour.upper_half() if getattr(f, "conj_symmetric", False) else None
+        pieces = contour.pieces() if upper is None else upper
+    else:
+        pieces = list(contour)
     many = getattr(f, "many", lambda points: [f(p) for p in points])
     total = 0.0
     evals = 0
@@ -296,7 +337,7 @@ def arg_variation(
             vm = _as_val(f(piece.point(um)))
             stack.append((um, vm, u1, (v1, e1)))
             stack.append((u0, (v0, e0), um, vm))
-    return total
+    return total if upper is None else 2.0 * total
 
 
 def winding_count(
@@ -366,13 +407,15 @@ def _certify_disk(f, center: complex, r0: float, mult: int) -> float:
 
 
 def _evaluator(chi: DirichletCharacter, which: Which):
-    """s -> L or L' at s, with its many-point form f.many(points)."""
+    """s -> L or L' at s, with its many-point form f.many(points), and
+    f.conj_symmetric: for a real chi, f(conj s) = conj f(s)."""
     if which == "L":
         f = lambda s: eval_L(chi, s)
     else:
         f = lambda s: eval_Lprime(chi, s)
     derivs = (which != "L",)
     f.many = lambda points: [v for (v,) in _eval_many(chi, points, derivs)]
+    f.conj_symmetric = chi.is_quadratic
     return f
 
 
@@ -513,7 +556,9 @@ def _count_rect_adaptive(
 ) -> tuple[int, float]:
     """Winding on (sigma_l, sigma_r) x (-T', T') with T-perturbation and
     left-edge indentation when zeros sit on the boundary: the count and
-    T' - T."""
+    T' - T.  For an f that declares f.conj_symmetric, a left-edge zero off
+    the real axis comes with its conjugate, and both are indented at once,
+    which keeps the contour mirror-symmetric for the walker's half walk."""
     t_shift = 0.0
     indents: list[Indentation] = []
     for attempt in range(8):
@@ -529,7 +574,10 @@ def _count_rect_adaptive(
                     raise
             elif abs(z.real - sigma_l) < 1e-6:
                 # exclude: bulge into the rectangle interior (rightward)
-                indents.append(Indentation(complex(sigma_l, z.imag), 1e-3, "right"))
+                ts = [z.imag]
+                if getattr(f, "conj_symmetric", False) and abs(z.imag) >= 1e-3:
+                    ts.append(-z.imag)  # its semicircle clear of z's
+                indents += [Indentation(complex(sigma_l, t), 1e-3, "right") for t in ts]
             else:
                 raise
     raise NumericalError("rectangle count did not stabilize after perturbations")
@@ -539,53 +587,71 @@ _COARSE = 5  # fine-grid steps per coarse cell of the critical-line scan
 
 
 def critical_line_zeros(chi: DirichletCharacter, T: float, spacing: float = 0.02) -> list[float]:
-    """Ordinates of the zeros of L on Re s = 1/2 with |t| <= T.
+    """Ordinates of the zeros of L on Re s = 1/2 with |t| <= T, ascending.
 
     Uses the real-valued rotated completed function
       Z(t) = Re[ e^(-i arg(eps)/2) (q/pi)^((s+kappa)/2) Gamma((s+kappa)/2) L(s) ],
     whose sign changes are exactly the on-line zeros (odd order).  Z lives
-    on the grid t = -T, -T + spacing, ..., but only the grid points that
-    _scan_samples picks are evaluated (two batches of L values): every
-    sign change between neighbouring grid points inside a coarse cell that
-    shows a sign change or borders a coarse minimum of |Z| is found, with
-    the same bracket and end values as a scan of every grid point.  What
-    the scan can miss is a pair of zeros in one cell on a steep flank of
-    |Z|, where no coarse sample is a local minimum; the pair then cancels
-    in the cell's end signs.  Each sample evaluated must clear ten times
-    its error bar |g| L.err, or the sign it shows is not certified and
-    InconclusiveBoundaryError is raised.  The sign changes are refined by
-    _illinois_many, one batch of L values per round.
+    on the grid t = k spacing, |k| <= T/spacing, which is symmetric about
+    t = 0.  Each half is scanned on its own, as u -> Z(u) and u -> Z(-u)
+    for u = k spacing >= 0; for a real chi the zeros come in pairs +-gamma,
+    so the lower half is the upper half negated and is not evaluated.  Of
+    a half, only the grid points that _scan_samples picks are evaluated
+    (two batches of L values): every sign change between neighbouring grid
+    points inside a coarse cell that shows a sign change or borders a
+    coarse minimum of |Z| is found, with the same bracket and end values
+    as a scan of every grid point.  What the scan can miss is a pair of
+    zeros in one cell on a steep flank of |Z|, where no coarse sample is a
+    local minimum; the pair then cancels in the cell's end signs.  Each
+    sample evaluated must clear ten times its error bar |g| L.err, or the
+    sign it shows is not certified and InconclusiveBoundaryError is
+    raised.  The sign changes of a half are refined in u by
+    _illinois_many, one batch of L values per round.  DomainError unless T
+    and spacing are finite, T >= 0 and spacing > 0.
     """
+    if not (math.isfinite(T) and math.isfinite(spacing) and T >= 0.0 and spacing > 0.0):
+        raise DomainError(f"the critical-line scan needs finite T >= 0 and spacing > 0, "
+                          f"not T = {T}, spacing = {spacing}")
     omega = cmath.phase(chi.data.epsilon.value) / 2.0
     rot = cmath.exp(-1j * omega)
+    # grid points of a half: u = k spacing for 0 <= k < n; the factor keeps
+    # the last point when T is a multiple of spacing that the quotient rounds down
+    n = math.floor(T / spacing * (1.0 + 1e-12)) + 1
 
-    def zval(t: float, L: ComplexValue) -> tuple[float, float]:
-        """Z(t) from L(1/2 + it), and the bar |g| L.err of Z."""
-        s = 0.5 + 1j * t
-        g = cmath.exp(
-            ((s + chi.kappa) / 2.0) * math.log(chi.q / math.pi) + log_gamma((s + chi.kappa) / 2.0)
-        )
-        return (rot * g * L.value).real, abs(g) * L.err
+    def zvals(ts: list[float]) -> list[tuple[float, float]]:
+        """Z(t) at each t, and the bar |g| L.err of Z, in one batch."""
+        out = []
+        for t, (L,) in zip(ts, _eval_many(chi, [0.5 + 1j * t for t in ts], (False,))):
+            s = 0.5 + 1j * t
+            g = cmath.exp(
+                ((s + chi.kappa) / 2.0) * math.log(chi.q / math.pi) + log_gamma((s + chi.kappa) / 2.0)
+            )
+            out.append(((rot * g * L.value).real, abs(g) * L.err))
+        return out
 
-    ts = [float(t) for t in np.arange(-T, T + spacing / 2, spacing)]
+    def half(sign: float) -> list[float]:
+        """The zeros u >= 0 of u -> Z(sign u), ascending."""
 
-    def sample(idx: list[int]) -> list[float]:
-        Ls = _eval_many(chi, [0.5 + 1j * ts[i] for i in idx], (False,))
-        zs = []
-        for i, (L,) in zip(idx, Ls):
-            z, bar = zval(ts[i], L)
-            if not abs(z) > 10.0 * bar:
-                raise InconclusiveBoundaryError(
-                    f"Z({ts[i]}) = {z:.3e} does not clear its error bar {bar:.3e}: sign not certified"
-                )
-            zs.append(z)
-        return zs
+        def sample(idx: list[int]) -> list[float]:
+            ts = [sign * (k * spacing) for k in idx]
+            zs = []
+            for t, (z, bar) in zip(ts, zvals(ts)):
+                if not abs(z) > 10.0 * bar:
+                    raise InconclusiveBoundaryError(
+                        f"Z({t}) = {z:.3e} does not clear its error bar {bar:.3e}: sign not certified"
+                    )
+                zs.append(z)
+            return zs
 
-    idx, zs = _scan_samples(len(ts), sample)
-    zmany = lambda xs: [zval(t, L)[0] for t, (L,) in zip(xs, _eval_many(
-        chi, [0.5 + 1j * t for t in xs], (False,)))]
-    return _illinois_many(zmany, [(ts[idx[k]], zs[k], ts[idx[k + 1]], zs[k + 1])
-                                  for k in range(len(idx) - 1) if zs[k] * zs[k + 1] < 0.0])
+        idx, zs = _scan_samples(n, sample)
+        us = [k * spacing for k in idx]
+        return _illinois_many(lambda xs: [z for z, _ in zvals([sign * u for u in xs])],
+                              [(us[k], zs[k], us[k + 1], zs[k + 1])
+                               for k in range(len(idx) - 1) if zs[k] * zs[k + 1] < 0.0])
+
+    upper = half(1.0)
+    lower = upper if chi.is_quadratic else half(-1.0)
+    return [-u for u in reversed(lower)] + upper
 
 
 def _scan_samples(

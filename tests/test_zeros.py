@@ -87,6 +87,30 @@ def test_rectangle_count_recovers_from_boundary_zeros(monkeypatch):
     assert abs(exc.value.location - (1 + 0.3j)) < 1e-6
 
 
+def test_symmetric_retry_indents_both_conjugates(monkeypatch):
+    # a mirror-symmetric f with zeros at +-0.3i on the left edge: the first
+    # boundary zero brings its conjugate's indentation too, so the retry
+    # stays symmetric, takes the half walk, and the count is the full walk's
+    tried = []
+    wind = zr.winding_count
+
+    def recording(f, contour, mesh=1.0):
+        tried.append(contour)
+        return wind(f, contour, mesh=mesh)
+
+    f = lambda s: s * s + 0.09
+    f.conj_symmetric = True
+    monkeypatch.setattr(zr, "winding_count", recording)
+    assert zr._count_rect_adaptive(f, 0.0, 1.0, 2.0) == (0, 0.0)
+    assert [len(c.indentations) for c in tried] == [0, 2]
+    last = tried[-1]
+    assert last.upper_half() is not None
+    lo, hi = sorted(last.indentations, key=lambda i: i.center.imag)
+    assert lo.center == hi.center.conjugate() and abs(hi.center - 0.3j) < 1e-6
+    assert all((i.side, i.radius) == ("right", 1e-3) for i in (lo, hi))
+    assert wind(lambda s: f(s), last) == 0
+
+
 def test_contour_validation():
     with pytest.raises(DomainError):
         zr.Contour(1, 0, -1, 1)
@@ -101,6 +125,105 @@ def test_mesh_halving_stability(chi5):
     f = lambda s: lf.eval_Lprime(chi5, s)
     box = zr.rectangle(0.5, 4.0, 6.0, 9.0)
     assert zr.winding_count(f, box, mesh=1.0) == zr.winding_count(f, box, mesh=0.5) == 1
+
+
+# ----------------------------------------------------------------------
+# the half walk of a mirror-symmetric contour
+
+def _unflagged(f):
+    """f with its many-point form but no declared symmetry: the full walk."""
+    g = lambda s: f(s)
+    g.many = f.many
+    return g
+
+
+def _count_or_raise(f, contour):
+    try:
+        return zr.winding_count(f, contour)
+    except BoundaryZeroError:
+        return BoundaryZeroError
+
+
+def test_half_walk_counts_as_the_full_walk(chi5, chi229, chi23):
+    # a real chi's L, L' and L'/L on rectangles in the fe, Hurwitz and series
+    # bands and on the strip contour: the half walk counts what the full walk
+    # counts; on the strip without indentations, and on (1/2, 1) x (-10, 10),
+    # zeros of L sit on the contour, and where the full walk raises so does
+    # the half walk
+    from lderiv.verify import _logderiv_ratio
+
+    boxes = [zr.rectangle(-3.5, -0.5, -6.0, 6.0), zr.rectangle(0.2, 1.8, -8.0, 8.0),
+             zr.rectangle(2.0, 5.0, -6.0, 6.0), zr.Contour(0.0, 0.5, -10.0, 10.0),
+             zr.Contour(0.5, 1.0, -10.0, 10.0)]
+    raised = 0
+    for chi in (chi5, chi229, chi23):
+        strip, _ = zr._strip_contour(chi, 10.0)
+        assert strip.upper_half() is not None and len(strip.indentations) > 2
+        for f in (zr._evaluator(chi, "L"), zr._evaluator(chi, "Lprime"), _logderiv_ratio(chi)):
+            assert f.conj_symmetric is True
+            for contour in boxes + [strip]:
+                got = _count_or_raise(f, contour)
+                assert got == _count_or_raise(_unflagged(f), contour), (chi.q, contour)
+                raised += got is BoundaryZeroError
+    assert raised == 12  # L and L'/L on the two contours through zeros of L
+    lf.clear_cache()
+
+
+def test_half_walk_only_on_mirrored_contours_of_declared_f(chi5, chi7_complex):
+    # no half walk for a complex chi, for indentations not closed under
+    # conjugation, or for t_min != -t_max: the walk samples below the axis
+    # and its variation is the full walk's, bit for bit; with both, the walk
+    # samples none
+    def walk(f, contour):
+        seen = []
+        g = lambda s: seen.append(s) or f(s)
+        g.many = lambda points: seen.extend(points) or f.many(points)
+        g.conj_symmetric = getattr(f, "conj_symmetric", False)
+        return zr.arg_variation(g, contour), min(s.imag for s in seen)
+
+    L5, L7 = zr._evaluator(chi5, "L"), zr._evaluator(chi7_complex, "L")
+    assert L7.conj_symmetric is False
+    gamma = 0.5 + 6.648453344726114j  # the first zero of L(s, chi5) on the line
+    mirrored = zr.Contour(0.2, 0.5, -8.0, 8.0, (zr.Indentation(gamma, 1e-3, "left"),
+                                                zr.Indentation(gamma.conjugate(), 1e-3, "left")))
+    lopsided = zr.Contour(0.2, 0.5, -8.0, 8.0, (zr.Indentation(gamma, 1e-3, "left"),
+                                                zr.Indentation(gamma.conjugate(), 1e-3, "right")))
+    for f, contour in ((L7, zr.rectangle(0.2, 1.8, -8.0, 8.0)), (L5, lopsided),
+                       (L5, zr.rectangle(0.2, 1.8, -8.0, 9.0))):
+        assert contour.upper_half() is None or not f.conj_symmetric
+        variation, lowest = walk(f, contour)
+        assert lowest < 0.0 and variation == zr.arg_variation(_unflagged(f), contour)
+    variation, lowest = walk(L5, mirrored)
+    assert lowest >= 0.0 and round(variation / (2.0 * math.pi)) == 0
+    lf.clear_cache()
+
+
+def test_real_critical_line_plans_only_its_upper_half(chi5, chi229, monkeypatch):
+    plan = lf._plan
+    planned = []
+
+    def recording(leaves, chi, s, derivs, route):
+        planned.append(s)
+        return plan(leaves, chi, s, derivs, route)
+
+    monkeypatch.setattr(lf, "_plan", recording)
+    for chi in (chi5, chi229):
+        lf.clear_cache()
+        planned.clear()
+        got = zr.critical_line_zeros(chi, 20.02)
+        assert planned and min(s.imag for s in planned) >= 0.0
+        assert len(got) > 10 and got == [-g for g in reversed(got)]
+    lf.clear_cache()
+
+
+def test_critical_line_refuses_bad_grids(chi5):
+    # an empty or endless grid would claim that there are no zeros
+    nan, inf = math.nan, math.inf
+    for T, spacing in ((5.0, 0.0), (5.0, -0.02), (-3.0, 0.02), (nan, 0.02),
+                       (5.0, nan), (inf, 0.02), (5.0, inf)):
+        with pytest.raises(DomainError):
+            zr.critical_line_zeros(chi5, T, spacing)
+    assert zr.critical_line_zeros(chi5, 0.0) == []
 
 
 # ----------------------------------------------------------------------
@@ -360,8 +483,9 @@ def test_critical_line_refinement_matches_the_bisection(chi5, chi7_complex, chi2
 
 
 def _ref_full_grid_scan(chi, T, spacing=0.02):
-    """critical_line_zeros as it was with every grid point evaluated
-    (verbatim bar the module prefixes)."""
+    """critical_line_zeros with every grid point t = k spacing, |k| <= T/spacing,
+    evaluated, and each half's sign changes refined in u >= 0, as
+    u -> Z(u) and u -> Z(-u) (verbatim bar the module prefixes)."""
     omega = cmath.phase(chi.data.epsilon.value) / 2.0
     rot = cmath.exp(-1j * omega)
 
@@ -373,30 +497,45 @@ def _ref_full_grid_scan(chi, T, spacing=0.02):
         )
         return (rot * g * L.value).real, abs(g) * L.err
 
-    ts = [float(t) for t in np.arange(-T, T + spacing / 2, spacing)]
-    Ls = lf._eval_many(chi, [0.5 + 1j * t for t in ts], (False,))
-    zs = []
-    for t, (L,) in zip(ts, Ls):
-        z, bar = zval(t, L)
-        if not abs(z) > 10.0 * bar:
-            raise InconclusiveBoundaryError(
-                f"Z({t}) = {z:.3e} does not clear its error bar {bar:.3e}: sign not certified"
-            )
-        zs.append(z)
-    zfun = lambda t: zval(t, lf.eval_L(chi, 0.5 + 1j * t))[0]
-    return [zr._illinois(zfun, ts[i], zs[i], ts[i + 1], zs[i + 1])
-            for i in range(len(ts) - 1) if zs[i] * zs[i + 1] < 0.0]
+    n = math.floor(T / spacing * (1.0 + 1e-12)) + 1
+    us = [k * spacing for k in range(n)]
+    halves = []
+    for sign in (1.0, -1.0):
+        ts = [sign * u for u in us]
+        Ls = lf._eval_many(chi, [0.5 + 1j * t for t in ts], (False,))
+        zs = []
+        for t, (L,) in zip(ts, Ls):
+            z, bar = zval(t, L)
+            if not abs(z) > 10.0 * bar:
+                raise InconclusiveBoundaryError(
+                    f"Z({t}) = {z:.3e} does not clear its error bar {bar:.3e}: sign not certified"
+                )
+            zs.append(z)
+        zfun = lambda u: zval(sign * u, lf.eval_L(chi, 0.5 + 1j * (sign * u)))[0]
+        halves.append([zr._illinois(zfun, us[i], zs[i], us[i + 1], zs[i + 1])
+                       for i in range(n - 1) if zs[i] * zs[i + 1] < 0.0])
+    upper, lower = halves
+    return [-u for u in reversed(lower)] + upper
 
 
 def test_coarse_to_fine_scan_matches_the_full_grid_bitwise(chi5, chi7_complex, chi229):
-    # (59, 41) has two zeros 0.025 apart, near t = 14.65, in one coarse cell
+    # (59, 41) has two zeros 0.025 apart, near t = 14.65, in one coarse cell.
+    # A real chi's lower half is its upper half mirrored, not scanned: the
+    # reference's own lower half, refined on Z(-u), agrees to Illinois'
+    # 1e-12 (1 + |t|)
     chi59 = ch.from_label(59, 41)
     for chi in (chi5, chi7_complex, chi229, chi59):
         lf.clear_cache()
         got = zr.critical_line_zeros(chi, 20.02)
         lf.clear_cache()
         want = _ref_full_grid_scan(chi, 20.02)
-        assert got == want and len(got) > 10, (chi.q, chi.label)
+        assert len(got) == len(want) > 10, (chi.q, chi.label)
+        if chi.is_quadratic:
+            upper = [g for g in want if g > 0.0]
+            assert got == [-g for g in reversed(upper)] + upper, (chi.q, chi.label)
+            assert all(abs(g - w) <= 1e-12 * (1.0 + abs(w)) for g, w in zip(got, want))
+        else:
+            assert got == want, (chi.q, chi.label)
     assert min(b - a for a, b in zip(got, got[1:])) < 0.03
     lf.clear_cache()
 
@@ -436,8 +575,9 @@ def test_scan_cells_on_a_synthetic_Z():
 
 
 def test_scan_plans_at_most_two_fifths_of_the_grid(chi229, monkeypatch):
-    ts = {float(t) for t in np.arange(-20.02, 20.03, 0.02)}
-    assert len(ts) == 2003
+    # a real chi: only the upper half, t = k 0.02 for 0 <= k <= 1001, is scanned
+    ts = {k * 0.02 for k in range(1002)}
+    assert len(ts) == 1002
     plan = lf._plan
     planned = []
 
@@ -449,7 +589,7 @@ def test_scan_plans_at_most_two_fifths_of_the_grid(chi229, monkeypatch):
     lf.clear_cache()
     monkeypatch.setattr(lf, "_plan", recording)
     zr.critical_line_zeros(chi229, 20.02)
-    assert 0 < len(planned) <= 0.4 * 2003
+    assert 0 < len(planned) <= 0.4 * 1002
     lf.clear_cache()
 
 
@@ -487,7 +627,8 @@ def test_illinois_brackets_stepped_together_see_their_own_steps():
 def test_critical_line_refinement_takes_one_batch_per_round(chi229, monkeypatch):
     # after the scan's two batches, each round of the refinement evaluates
     # the next x of every open bracket in one _eval_many call: 6 calls at
-    # (229, 113), T = 20.02, for the same 187 points that took one
+    # (229, 113), T = 20.02, for the 94 points of the upper half's 18
+    # brackets (a real chi's lower half is their mirror), which took one
     # one-point eval_L call each
     sizes, one_point = [], []
     many, lf_many = zr._eval_many, lf._eval_many
@@ -506,8 +647,8 @@ def test_critical_line_refinement_takes_one_batch_per_round(chi229, monkeypatch)
     got = zr.critical_line_zeros(chi229, 20.02)
     rounds = sizes[2:]
     assert one_point == [] and len(got) == 36
-    assert rounds[0] == len(got) and rounds == sorted(rounds, reverse=True)
-    assert sum(rounds) == 187 and len(rounds) == 6
+    assert rounds[0] == len(got) // 2 and rounds == sorted(rounds, reverse=True)
+    assert sum(rounds) == 94 and len(rounds) == 6
     lf.clear_cache()
 
 
@@ -543,6 +684,13 @@ def test_newton_takes_one_block_per_step(chi5, monkeypatch):
     lf.clear_cache()
 
 
+def _scalar_twin(f):
+    """f without its many-point form, declaring the same symmetry."""
+    g = lambda s: f(s)
+    g.conj_symmetric = f.conj_symmetric
+    return g
+
+
 def test_walker_first_samples_through_the_many_point_form(chi5, chi229, monkeypatch):
     """The walker's first samples of each piece through f.many give the same
     variation and the same point cache as one call per sample, and count
@@ -555,13 +703,13 @@ def test_walker_first_samples_through_the_many_point_form(chi5, chi229, monkeypa
         for f, contour in ((zr._evaluator(chi, "L"), box), (zr._evaluator(chi, "Lprime"), box),
                            (_logderiv_ratio(chi), zr.rectangle(1.2, 3.0, -6.0, 6.0))):
             runs = []
-            for g in (f, lambda s: f(s)):  # the second has no many-point form
+            for g in (f, _scalar_twin(f)):
                 lf.clear_cache()
                 runs.append((zr.arg_variation(g, contour), _cache_bits()))
             assert runs[0] == runs[1], chi.q
     monkeypatch.setattr(zr, "_MAX_EVALS", 10)
     f = zr._evaluator(chi5, "L")
-    for g in (f, lambda s: f(s)):
+    for g in (f, _scalar_twin(f)):
         with pytest.raises(NumericalError, match="budget"):
             zr.arg_variation(g, box)
     lf.clear_cache()
@@ -576,7 +724,7 @@ def test_critical_line_samples_must_clear_their_bars(chi5, monkeypatch):
                 lambda L: ComplexValue(0j, 0.0)):  # an exact zero
         def injected(chi, points, derivs):
             out = real(chi, points, derivs)
-            out[100] = (hit(out[100][0]),)
+            out[20] = (hit(out[20][0]),)
             return out
 
         monkeypatch.setattr(zr, "_eval_many", injected)
