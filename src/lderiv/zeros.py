@@ -14,13 +14,13 @@ mirror image in the real axis the walker then walks only the half with
 Im s >= 0 and doubles its variation.
 
 Zeros of L on the critical line are the sign changes of the real function
-Z(t) on the grid t = k spacing, |k| <= T/spacing.  Each half, t >= 0 and
-t <= 0, is sampled coarse to fine: every fifth grid point in one batch,
-then every grid point of the coarse cells that show a sign change or
-border a coarse minimum of |Z| in a second; a sample whose sign is not
-certified by its error bar is refused, and each sign change is refined by
-the Illinois variant of regula falsi.  For a real chi the lower half is
-the upper half mirrored, and is not sampled.
+Z(t) on the grid t = k spacing, |k| <= T/spacing, sampled coarse to
+fine: every fifth grid point in one batch, then every grid point of the
+coarse cells that show a sign change or border a coarse minimum of |Z| in
+a second; a sample whose sign is not certified by its error bar is
+refused, and each sign change is refined by the Illinois variant of
+regula falsi.  For a real chi only t >= 0 is sampled and its zeros are
+mirrored.
 
 Indentation sides are named by direction: a "left" semicircle bulges
 toward smaller Re s, so on the left edge of a rectangle it encloses the
@@ -556,9 +556,7 @@ def _count_rect_adaptive(
 ) -> tuple[int, float]:
     """Winding on (sigma_l, sigma_r) x (-T', T') with T-perturbation and
     left-edge indentation when zeros sit on the boundary: the count and
-    T' - T.  For an f that declares f.conj_symmetric, a left-edge zero off
-    the real axis comes with its conjugate, and both are indented at once,
-    which keeps the contour mirror-symmetric for the walker's half walk."""
+    T' - T."""
     t_shift = 0.0
     indents: list[Indentation] = []
     for attempt in range(8):
@@ -574,10 +572,7 @@ def _count_rect_adaptive(
                     raise
             elif abs(z.real - sigma_l) < 1e-6:
                 # exclude: bulge into the rectangle interior (rightward)
-                ts = [z.imag]
-                if getattr(f, "conj_symmetric", False) and abs(z.imag) >= 1e-3:
-                    ts.append(-z.imag)  # its semicircle clear of z's
-                indents += [Indentation(complex(sigma_l, t), 1e-3, "right") for t in ts]
+                indents.append(Indentation(complex(sigma_l, z.imag), 1e-3, "right"))
             else:
                 raise
     raise NumericalError("rectangle count did not stabilize after perturbations")
@@ -593,65 +588,57 @@ def critical_line_zeros(chi: DirichletCharacter, T: float, spacing: float = 0.02
       Z(t) = Re[ e^(-i arg(eps)/2) (q/pi)^((s+kappa)/2) Gamma((s+kappa)/2) L(s) ],
     whose sign changes are exactly the on-line zeros (odd order).  Z lives
     on the grid t = k spacing, |k| <= T/spacing, which is symmetric about
-    t = 0.  Each half is scanned on its own, as u -> Z(u) and u -> Z(-u)
-    for u = k spacing >= 0; for a real chi the zeros come in pairs +-gamma,
-    so the lower half is the upper half negated and is not evaluated.  Of
-    a half, only the grid points that _scan_samples picks are evaluated
-    (two batches of L values): every sign change between neighbouring grid
-    points inside a coarse cell that shows a sign change or borders a
-    coarse minimum of |Z| is found, with the same bracket and end values
-    as a scan of every grid point.  What the scan can miss is a pair of
-    zeros in one cell on a steep flank of |Z|, where no coarse sample is a
-    local minimum; the pair then cancels in the cell's end signs.  Each
-    sample evaluated must clear ten times its error bar |g| L.err, or the
-    sign it shows is not certified and InconclusiveBoundaryError is
-    raised.  The sign changes of a half are refined in u by
-    _illinois_many, one batch of L values per round.  DomainError unless T
-    and spacing are finite, T >= 0 and spacing > 0.
+    t = 0; for a real chi the zeros come in pairs +-gamma, so only its
+    part t >= 0 is scanned and the zeros found there are mirrored.  Only
+    the grid points that _scan_samples picks are evaluated (two batches of
+    L values): every sign change between neighbouring grid points inside
+    a coarse cell that shows a sign change or borders a coarse minimum of
+    |Z| is found, with the same bracket and end values as a scan of every
+    grid point.  What the scan can miss is a pair of zeros in one cell on
+    a steep flank of |Z|, where no coarse sample is a local minimum; the
+    pair then cancels in the cell's end signs.  Each sample evaluated must
+    clear ten times its error bar |g| L.err, or the sign it shows is not
+    certified and InconclusiveBoundaryError is raised.  The sign changes
+    are refined by _illinois_many, one batch of L values per round.
+    DomainError unless T and spacing are finite, T >= 0 and spacing > 0.
     """
     if not (math.isfinite(T) and math.isfinite(spacing) and T >= 0.0 and spacing > 0.0):
         raise DomainError(f"the critical-line scan needs finite T >= 0 and spacing > 0, "
                           f"not T = {T}, spacing = {spacing}")
     omega = cmath.phase(chi.data.epsilon.value) / 2.0
     rot = cmath.exp(-1j * omega)
-    # grid points of a half: u = k spacing for 0 <= k < n; the factor keeps
-    # the last point when T is a multiple of spacing that the quotient rounds down
-    n = math.floor(T / spacing * (1.0 + 1e-12)) + 1
 
-    def zvals(ts: list[float]) -> list[tuple[float, float]]:
-        """Z(t) at each t, and the bar |g| L.err of Z, in one batch."""
-        out = []
-        for t, (L,) in zip(ts, _eval_many(chi, [0.5 + 1j * t for t in ts], (False,))):
-            s = 0.5 + 1j * t
-            g = cmath.exp(
-                ((s + chi.kappa) / 2.0) * math.log(chi.q / math.pi) + log_gamma((s + chi.kappa) / 2.0)
-            )
-            out.append(((rot * g * L.value).real, abs(g) * L.err))
-        return out
+    def zval(t: float, L: ComplexValue) -> tuple[float, float]:
+        """Z(t) from L(1/2 + it), and the bar |g| L.err of Z."""
+        s = 0.5 + 1j * t
+        g = cmath.exp(
+            ((s + chi.kappa) / 2.0) * math.log(chi.q / math.pi) + log_gamma((s + chi.kappa) / 2.0)
+        )
+        return (rot * g * L.value).real, abs(g) * L.err
 
-    def half(sign: float) -> list[float]:
-        """The zeros u >= 0 of u -> Z(sign u), ascending."""
+    # the factor keeps the last grid point when T is a multiple of spacing
+    # that the quotient rounds down
+    m = math.floor(T / spacing * (1.0 + 1e-12))
+    ts = [k * spacing for k in range(0 if chi.is_quadratic else -m, m + 1)]
 
-        def sample(idx: list[int]) -> list[float]:
-            ts = [sign * (k * spacing) for k in idx]
-            zs = []
-            for t, (z, bar) in zip(ts, zvals(ts)):
-                if not abs(z) > 10.0 * bar:
-                    raise InconclusiveBoundaryError(
-                        f"Z({t}) = {z:.3e} does not clear its error bar {bar:.3e}: sign not certified"
-                    )
-                zs.append(z)
-            return zs
+    def sample(idx: list[int]) -> list[float]:
+        Ls = _eval_many(chi, [0.5 + 1j * ts[i] for i in idx], (False,))
+        zs = []
+        for i, (L,) in zip(idx, Ls):
+            z, bar = zval(ts[i], L)
+            if not abs(z) > 10.0 * bar:
+                raise InconclusiveBoundaryError(
+                    f"Z({ts[i]}) = {z:.3e} does not clear its error bar {bar:.3e}: sign not certified"
+                )
+            zs.append(z)
+        return zs
 
-        idx, zs = _scan_samples(n, sample)
-        us = [k * spacing for k in idx]
-        return _illinois_many(lambda xs: [z for z, _ in zvals([sign * u for u in xs])],
-                              [(us[k], zs[k], us[k + 1], zs[k + 1])
-                               for k in range(len(idx) - 1) if zs[k] * zs[k + 1] < 0.0])
-
-    upper = half(1.0)
-    lower = upper if chi.is_quadratic else half(-1.0)
-    return [-u for u in reversed(lower)] + upper
+    idx, zs = _scan_samples(len(ts), sample)
+    zmany = lambda xs: [zval(t, L)[0] for t, (L,) in zip(xs, _eval_many(
+        chi, [0.5 + 1j * t for t in xs], (False,)))]
+    zeros = _illinois_many(zmany, [(ts[idx[k]], zs[k], ts[idx[k + 1]], zs[k + 1])
+                                   for k in range(len(idx) - 1) if zs[k] * zs[k + 1] < 0.0])
+    return [-t for t in reversed(zeros)] + zeros if chi.is_quadratic else zeros
 
 
 def _scan_samples(

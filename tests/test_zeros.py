@@ -87,30 +87,6 @@ def test_rectangle_count_recovers_from_boundary_zeros(monkeypatch):
     assert abs(exc.value.location - (1 + 0.3j)) < 1e-6
 
 
-def test_symmetric_retry_indents_both_conjugates(monkeypatch):
-    # a mirror-symmetric f with zeros at +-0.3i on the left edge: the first
-    # boundary zero brings its conjugate's indentation too, so the retry
-    # stays symmetric, takes the half walk, and the count is the full walk's
-    tried = []
-    wind = zr.winding_count
-
-    def recording(f, contour, mesh=1.0):
-        tried.append(contour)
-        return wind(f, contour, mesh=mesh)
-
-    f = lambda s: s * s + 0.09
-    f.conj_symmetric = True
-    monkeypatch.setattr(zr, "winding_count", recording)
-    assert zr._count_rect_adaptive(f, 0.0, 1.0, 2.0) == (0, 0.0)
-    assert [len(c.indentations) for c in tried] == [0, 2]
-    last = tried[-1]
-    assert last.upper_half() is not None
-    lo, hi = sorted(last.indentations, key=lambda i: i.center.imag)
-    assert lo.center == hi.center.conjugate() and abs(hi.center - 0.3j) < 1e-6
-    assert all((i.side, i.radius) == ("right", 1e-3) for i in (lo, hi))
-    assert wind(lambda s: f(s), last) == 0
-
-
 def test_contour_validation():
     with pytest.raises(DomainError):
         zr.Contour(1, 0, -1, 1)
@@ -483,9 +459,9 @@ def test_critical_line_refinement_matches_the_bisection(chi5, chi7_complex, chi2
 
 
 def _ref_full_grid_scan(chi, T, spacing=0.02):
-    """critical_line_zeros with every grid point t = k spacing, |k| <= T/spacing,
-    evaluated, and each half's sign changes refined in u >= 0, as
-    u -> Z(u) and u -> Z(-u) (verbatim bar the module prefixes)."""
+    """critical_line_zeros as it was with every grid point evaluated, on
+    the grid t = k spacing, |k| <= T/spacing, and with no mirroring
+    (verbatim bar the module prefixes)."""
     omega = cmath.phase(chi.data.epsilon.value) / 2.0
     rot = cmath.exp(-1j * omega)
 
@@ -497,32 +473,26 @@ def _ref_full_grid_scan(chi, T, spacing=0.02):
         )
         return (rot * g * L.value).real, abs(g) * L.err
 
-    n = math.floor(T / spacing * (1.0 + 1e-12)) + 1
-    us = [k * spacing for k in range(n)]
-    halves = []
-    for sign in (1.0, -1.0):
-        ts = [sign * u for u in us]
-        Ls = lf._eval_many(chi, [0.5 + 1j * t for t in ts], (False,))
-        zs = []
-        for t, (L,) in zip(ts, Ls):
-            z, bar = zval(t, L)
-            if not abs(z) > 10.0 * bar:
-                raise InconclusiveBoundaryError(
-                    f"Z({t}) = {z:.3e} does not clear its error bar {bar:.3e}: sign not certified"
-                )
-            zs.append(z)
-        zfun = lambda u: zval(sign * u, lf.eval_L(chi, 0.5 + 1j * (sign * u)))[0]
-        halves.append([zr._illinois(zfun, us[i], zs[i], us[i + 1], zs[i + 1])
-                       for i in range(n - 1) if zs[i] * zs[i + 1] < 0.0])
-    upper, lower = halves
-    return [-u for u in reversed(lower)] + upper
+    m = math.floor(T / spacing * (1.0 + 1e-12))
+    ts = [k * spacing for k in range(-m, m + 1)]
+    Ls = lf._eval_many(chi, [0.5 + 1j * t for t in ts], (False,))
+    zs = []
+    for t, (L,) in zip(ts, Ls):
+        z, bar = zval(t, L)
+        if not abs(z) > 10.0 * bar:
+            raise InconclusiveBoundaryError(
+                f"Z({t}) = {z:.3e} does not clear its error bar {bar:.3e}: sign not certified"
+            )
+        zs.append(z)
+    zfun = lambda t: zval(t, lf.eval_L(chi, 0.5 + 1j * t))[0]
+    return [zr._illinois(zfun, ts[i], zs[i], ts[i + 1], zs[i + 1])
+            for i in range(len(ts) - 1) if zs[i] * zs[i + 1] < 0.0]
 
 
 def test_coarse_to_fine_scan_matches_the_full_grid_bitwise(chi5, chi7_complex, chi229):
     # (59, 41) has two zeros 0.025 apart, near t = 14.65, in one coarse cell.
     # A real chi's lower half is its upper half mirrored, not scanned: the
-    # reference's own lower half, refined on Z(-u), agrees to Illinois'
-    # 1e-12 (1 + |t|)
+    # reference's own lower half agrees to Illinois' 1e-12 (1 + |t|)
     chi59 = ch.from_label(59, 41)
     for chi in (chi5, chi7_complex, chi229, chi59):
         lf.clear_cache()
