@@ -125,7 +125,7 @@ def _checks_for(args, chi) -> list:
     if args.check == "all":
         return run_all(chi, T=args.T, with_constants=(args.label != "all"))
     if args.check == "region":
-        grid = GridSpec(dsigma=args.spacing, dt=args.spacing)
+        grid = None if args.spacing is None else GridSpec(dsigma=args.spacing, dt=args.spacing)
         return [check_region_negativity(chi, args.region, grid)]
     if args.check == "origin-strip":
         return [check_near_origin_strip(chi)]
@@ -226,7 +226,9 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--T", type=float, default=10.0)
     pv.add_argument("--region", default="line:1",
                     help="for 'region': D1 | D2 | line:<j> | critical")
-    pv.add_argument("--spacing", type=float, default=0.1)
+    pv.add_argument("--spacing", type=float,
+                    help="for 'region': the grid step in sigma and t; by default the region's "
+                         "own grid (D1 0.5, D2 2, line:<j> and critical 0.1)")
     pv.add_argument("--csv", action="store_true")
     pv.add_argument("--timings", action="store_true")
     return p
@@ -249,9 +251,9 @@ def run(argv=None) -> int:
             return _cmd_zeros(args)
         if args.cmd == "verify":
             if args.check != "constants" and args.q is None:
-                parser.error("--q is required for this check")
+                raise DomainError(f"--q is required for verify {args.check}")
             return _cmd_verify(args)
-        parser.error(f"unknown command {args.cmd}")
+        raise DomainError(f"unknown command {args.cmd}")
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

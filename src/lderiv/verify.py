@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -94,14 +95,26 @@ class GridSpec:
 def _max_re_logderiv(
     chi: DirichletCharacter, points: Iterable[complex]
 ) -> tuple[float, int, int]:
-    """(max Re L'/L over usable points, #points used, #skipped near zeros)."""
+    """(max Re L'/L over usable points, #points used, #skipped near zeros).
+
+    For a real chi, Re L'/L(conj s) = Re L'/L(s): a point below the real
+    axis whose exact mirror image is also in the grid is not evaluated,
+    and its twin above the axis counts for both, used or skipped alike.
+    A complex chi, and a point without an exact twin, is evaluated."""
+    points = list(points)
+    twins: Counter = Counter()
+    if chi.is_quadratic:
+        grid = set(points)
+        twins.update(s.conjugate() for s in points if s.imag < 0.0 and s.conjugate() in grid)
+        points = [s for s in points if not (s.imag < 0.0 and s.conjugate() in grid)]
     worst = -math.inf
     used = skipped = 0
     for pt in eval_L_points(chi, points):
+        weight = 1 + twins.pop(pt.s, 0)
         if pt.logderiv is None:
-            skipped += 1
+            skipped += weight
             continue
-        used += 1
+        used += weight
         worst = max(worst, pt.logderiv.value.real)
     return worst, used, skipped
 
@@ -116,6 +129,12 @@ def check_region_negativity(
     applicable negativity condition (region "critical").  A scan with no
     usable point, or a region outside the window, is no pass: passed is
     None, with a status.
+
+    grid None takes the region's own grid: D1 0.5 x 0.5, D2 2 x 2, the
+    lines and the critical line 0.1.  The D1, D2 and critical grids are
+    closed under conjugation, so for a real chi _max_re_logderiv
+    evaluates only their points with Im s >= 0; the line grids, and every
+    grid of a complex chi, are evaluated in full.
     """
     t0 = time.perf_counter()
     q, kappa = chi.q, chi.kappa

@@ -11,7 +11,8 @@ form when it has one (the L and L' evaluators here do); refinement stays
 one point at a time.  An evaluator of a real chi declares
 f.conj_symmetric, f(conj s) = conj f(s); on a contour that is its own
 mirror image in the real axis the walker then walks only the half with
-Im s >= 0 and doubles its variation.
+Im s >= 0 and doubles its variation, and zero listing on such a region
+subdivides only its upper half and mirrors the zeros found there.
 
 Zeros of L on the critical line are the sign changes of the real function
 Z(t) on the grid t = k spacing, |k| <= T/spacing, sampled coarse to
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Literal, Optional
 
 import numpy as np
@@ -834,6 +835,10 @@ def list_zeros(
     """All zeros inside the region: quadrisection to winding <= 1, then Newton.
 
     The records' total multiplicity always equals the region's winding count.
+    For a real chi and t_min == -t_max only the cells above the real axis
+    are subdivided, and their records are mirrored (_subdivide); the
+    region is split in full for a complex chi, for any other region, and
+    when the cut on the axis meets a zero or its counts do not pair up.
     """
     f = _evaluator(chi, which)
     total = winding_count(f, region, mesh=mesh)
@@ -847,9 +852,31 @@ def list_zeros(
 
 
 def _subdivide(chi, which: Which, region: Contour, count: int, mesh: float = 1.0) -> list[ZeroRecord]:
+    """Records of the count zeros inside the region's rectangle, by
+    quadrisection (_split_cell) down to cells that hold one zero, then
+    Newton (_polish_cell).
+
+    For a real chi (f.conj_symmetric) and a region with t_min == -t_max,
+    the first cut lands on the real axis: only its two upper quadrants are
+    wound (_split_upper), the lower ones hold their conjugate zeros, and
+    only the upper cells are subdivided; each of their records is
+    returned with its conjugate.  When that cut meets a zero, or its
+    upper counts are not half the region's, the region is split in full
+    as for a complex chi."""
     f = _evaluator(chi, which)
+    sl, sr, tl, th = region.sigma_left, region.sigma_right, region.t_min, region.t_max
+    upper = None
+    if getattr(f, "conj_symmetric", False) and tl == -th:
+        upper = _split_upper(f, sl, sr, th, count, mesh)
+    if upper is None:
+        return _quadrisect(f, which, [(sl, sr, tl, th, count)], mesh)
+    out = _quadrisect(f, which, upper, mesh)
+    return out + [replace(r, location=r.location.conjugate()) for r in out]
+
+
+def _quadrisect(f, which: Which, stack: list, mesh: float = 1.0) -> list[ZeroRecord]:
+    """The records of the cells (sl, sr, tl, th, count) on the stack."""
     out: list[ZeroRecord] = []
-    stack = [(region.sigma_left, region.sigma_right, region.t_min, region.t_max, count)]
     while stack:
         sl, sr, tl, th, n = stack.pop()
         diag = math.hypot(sr - sl, th - tl)
@@ -873,6 +900,23 @@ def _subdivide(chi, which: Which, region: Contour, count: int, mesh: float = 1.0
             continue
         stack.extend(_split_cell(f, sl, sr, tl, th, n, mesh))
     return out
+
+
+def _split_upper(f, sl, sr, th, n, mesh: float = 1.0):
+    """The upper half of _split_cell's first cut of (sl, sr) x (-th, th),
+    which lies on the real axis: its two upper quadrants, wound at the
+    same mesh, with their counts, when those add up to n / 2; else None."""
+    if n % 2:
+        return None
+    sm = sl + 0.5 * (sr - sl)
+    quads = [(sl, sm, 0.0, th), (sm, sr, 0.0, th)]
+    try:
+        counts = [winding_count(f, rectangle(*qd), mesh=0.7 * mesh) for qd in quads]
+    except (BoundaryZeroError, NumericalError):
+        return None
+    if 2 * sum(counts) != n:
+        return None
+    return [qd + (c,) for qd, c in zip(quads, counts) if c > 0]
 
 
 def _split_cell(f, sl, sr, tl, th, n, mesh: float = 1.0):

@@ -252,3 +252,26 @@ def test_out_before_or_after_the_subcommand(tmp_path, capsys):
     nested = tmp_path / "nested.json"
     assert cli.run(["char", "list", "--q", "7", "--out", str(nested)]) == 0
     assert len(json.loads(nested.read_text())) == 5
+
+
+def test_verify_without_q_is_a_usage_error(capsys):
+    # every check but constants needs --q: exit 2 with an error line, no
+    # SystemExit out of run()
+    for check in ("all", "region", "counting"):
+        assert cli.run(["verify", check]) == 2, check
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ") and "--q" in captured.err
+
+
+def test_verify_region_scans_on_the_regions_own_grid(chi5, capsys):
+    """verify region without --spacing scans the grid that
+    check_region_negativity takes by default, as verify all does: D2 on
+    2 x 2, not 0.1 x 0.1; --spacing still sets the step."""
+    from lderiv.verify import GridSpec, check_region_negativity
+
+    for argv, grid in (((), None), (("--spacing", "4"), GridSpec(dsigma=4.0, dt=4.0))):
+        code, out = run_cli(capsys, "verify", "region", "--q", "5", "--label", "1",
+                            "--region", "D2", *argv)
+        assert code == 0
+        assert out.strip() == json.dumps([check_region_negativity(chi5, "D2", grid).to_dict()],
+                                         sort_keys=True), argv

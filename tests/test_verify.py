@@ -1,6 +1,7 @@
 """The verification harness: reports, determinism, and honesty outcomes."""
 
 import json
+import math
 
 import pytest
 
@@ -213,3 +214,61 @@ def test_region_critical_samples_t0_once(chi229, monkeypatch):
     assert len(set(points)) == len(points) == 41
     assert used + skipped == 41
     assert rep.skipped_points == skipped
+
+
+def _full_scan(chi, points):
+    """_max_re_logderiv as it was before the half scan: every point evaluated."""
+    worst, used, skipped = -math.inf, 0, 0
+    for pt in lfunc.eval_L_points(chi, points):
+        if pt.logderiv is None:
+            skipped += 1
+            continue
+        used += 1
+        worst = max(worst, pt.logderiv.value.real)
+    return worst, used, skipped
+
+
+def test_half_scan_counts_as_the_full_scan(chi5, chi23, chi7_complex, monkeypatch):
+    """For a real chi each region scan evaluates one point of each exact
+    mirror pair, and reads as the full scan: the same (worst, used,
+    skipped), worst bit for bit; a complex chi evaluates every point."""
+    scan = vf._max_re_logderiv
+    grids = {}
+
+    def grid_of(chi, points):
+        points = list(points)
+        grids.setdefault((chi.q, chi.label), []).append(points)
+        return scan(chi, points)
+
+    monkeypatch.setattr(vf, "_max_re_logderiv", grid_of)
+    for chi in (chi5, chi23):
+        for region, grid in (("line:1", None), ("critical", None),
+                             ("D1", vf.GridSpec(dsigma=0.5, dt=0.5)), ("D2", None)):
+            vf.check_region_negativity(chi, region, grid)
+    monkeypatch.setattr(vf, "_max_re_logderiv", scan)
+    # D2 is empty in the window for q = 23: chi23 scans chi5's D2 grid too
+    _, critical, _, d2 = grids[5, 1]
+    assert [len(g) for g in grids[5, 1]] == [801, 762, 3256, 1090]
+    assert len(grids[23, 10]) == 3
+    grids[23, 10].append(d2)
+
+    evaluated = []
+    points_of = lfunc.eval_L_points
+    monkeypatch.setattr(vf, "eval_L_points",
+                        lambda chi, points: evaluated.append(list(points)) or points_of(chi, points))
+    for chi in (chi5, chi23):
+        for k, points in enumerate(grids[chi.q, chi.label]):  # line:1 first
+            evaluated.clear()
+            got = vf._max_re_logderiv(chi, points)
+            want = _full_scan(chi, points)
+            assert got == want and got[0].hex() == want[0].hex(), (chi.q, len(points))
+            [sent] = evaluated
+            grid = set(points)
+            assert not [s for s in sent if s.imag < 0.0 and s.conjugate() in grid]
+            assert len(sent) == (len(points) if k == 0 else (len(points) + 1) // 2)
+    for points in (critical, d2):
+        evaluated.clear()
+        assert vf._max_re_logderiv(chi7_complex, points) == _full_scan(chi7_complex, points)
+        assert evaluated == [points]
+    lfunc.clear_cache()
+

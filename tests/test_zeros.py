@@ -394,6 +394,47 @@ def test_list_zeros_sum_matches_oracle(chi5):
     assert abs(s_list - s_oracle) < 1e-6
 
 
+def _listing(chi, region, monkeypatch, flagged=True):
+    """list_zeros on the region, and the rectangles it winds; flagged False
+    runs it with evaluators that declare no symmetry, split in full."""
+    wound = []
+    wind, evaluator = zr.winding_count, zr._evaluator
+
+    def recording(f, contour, mesh=1.0):
+        wound.append(contour)
+        return wind(f, contour, mesh=mesh)
+
+    with monkeypatch.context() as m:
+        m.setattr(zr, "winding_count", recording)
+        if not flagged:
+            m.setattr(zr, "_evaluator", lambda chi, which: _unflagged(evaluator(chi, which)))
+        recs = zr.list_zeros(chi, region)
+    return recs, [c for c in wound if isinstance(c, zr.Contour)]
+
+
+def test_mirrored_split_lists_as_the_full_split(chi5, chi23, chi229, monkeypatch):
+    """For a real chi on a region with t_min == -t_max the first cut is the
+    real axis: only the upper quadrants are wound and subdivided, and the
+    records are those of the full split, repr for repr.  At (229, 113) L'
+    has a real zero at about 2.329 on that cut: the split falls back to
+    the full one, with the full split's records."""
+    box = zr.rectangle(0.0, 20.0, -10.0, 10.0)
+    lower = [zr.rectangle(0.0, 10.0, -10.0, 0.0), zr.rectangle(10.0, 20.0, -10.0, 0.0)]
+    for chi, n in ((chi5, 2), (chi23, 6), (chi229, 16)):
+        recs, wound = _listing(chi, box, monkeypatch)
+        full, full_wound = _listing(chi, box, monkeypatch, flagged=False)
+        assert len(recs) == n and repr(recs) == repr(full), chi.q
+        if chi is chi229:
+            # the zero on the axis stops the first lower quadrant's winding
+            assert lower[0] in wound and lower[0] in full_wound
+            assert any(abs(r.location - 2.329) < 1e-3 and abs(r.location.imag) < 1e-12 for r in recs)
+        else:
+            assert all(c in full_wound for c in lower)
+            assert not [c for c in wound if c.t_min < 0.0 and c != box], chi.q
+            assert len(wound) < len(full_wound)
+    lf.clear_cache()
+
+
 def _ref_critical_line_zeros(chi, T, spacing=0.02):
     """critical_line_zeros with 52 bisections a sign change, as it was before
     the Illinois refinement (verbatim bar the module prefixes)."""
