@@ -271,4 +271,3 @@ def test_half_scan_counts_as_the_full_scan(chi5, chi23, chi7_complex, monkeypatc
         assert vf._max_re_logderiv(chi7_complex, points) == _full_scan(chi7_complex, points)
         assert evaluated == [points]
     lfunc.clear_cache()
-
