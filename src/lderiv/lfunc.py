@@ -34,11 +34,16 @@ each Hurwitz pass up in the pass cache (_PassCache): the engine row of a
 pass at s depends on q and s alone, so once a second label of the modulus
 in hand has asked for a pass, the rows are kept while they fit a byte
 budget, none evicted, and serve every character mod q at s with its own
-weights, the bytes of its own pass.  A pass of another modulus drops them.
+weights, the bytes of its own pass.  A pass of another modulus drops them,
+and a pass it serves chooses no Euler-Maclaurin (N, K).
 L and L' at the same point come from one pass of a route: one
 Euler-Maclaurin engine result (whose d/ds pass yields L bit for bit), one
-array of Dirichlet-series terms summed to each value's own cutoff, or one
-F(s) with one L(1-s), L'(1-s) pair, which is not cached.  The Hurwitz-engine
+set of Dirichlet-series terms summed to each value's own cutoff, or one
+F(s) with one L(1-s), L'(1-s) pair, which is not cached.  The series
+route sums its terms in the order of np.add.reduce's pairwise tree, over
+chunks of 400 000 terms, building one leaf of at most 2^14 terms at a
+time: the bytes of summing each chunk as one array, in a small fraction
+of its memory (see _eval_series).  The Hurwitz-engine
 work of a block of points -- the Hurwitz route and the functional
 equation's inner L(1-s), L'(1-s), s = 1 included -- goes through the engine
 in one call per chunk of points that share (N, K) (one point alone takes
@@ -261,36 +266,115 @@ def _series_cutoffs(chi: DirichletCharacter, s: complex, derivs: tuple) -> tuple
     return tuple(_series_cutoff(chi, s, deriv, 3e-10) for deriv in derivs)
 
 
+_SERIES_CHUNK = 400_000  # terms of a series pass summed into its totals at a time
+_TREE_LEAF = 1 << 14  # the most terms of a chunk's sum built as one array
+
+
+def _pairwise_leaves(L: int, start: int = 0) -> list:
+    """The leaves (start, stop) of the pairwise tree that np.add.reduce walks
+    to sum L complex128 terms from start on, cut at nodes of at most
+    _TREE_LEAF terms: a larger node of L terms splits at (L - L % 8) // 2."""
+    if L <= _TREE_LEAF:
+        return [(start, start + L)]
+    h = (L - L % 8) // 2
+    return _pairwise_leaves(h, start) + _pairwise_leaves(L - h, start + h)
+
+
+def _pairwise_total(L: int, sums) -> complex:
+    """The np.add.reduce sum of L complex128 terms from the sums of the
+    leaves of _pairwise_leaves(L) (an iterator, in that order), added up
+    the same tree: the same bytes as summing the L terms at once."""
+    if L <= _TREE_LEAF:
+        return next(sums)
+    h = (L - L % 8) // 2
+    return _pairwise_total(h, sums) + _pairwise_total(L - h, sums)
+
+
+def _series_chunk(table, q: int, s: complex, start: int, derivs: tuple, ms: list) -> list:
+    """(sum, sum of magnitudes) of the terms n = start, ..., start + m - 1
+    of each entry of derivs and its m in ms (None where m <= 0), walked
+    one leaf of each pairwise tree at a time: chi(n) is table[n mod q], each
+    piece between the union of the leaf boundaries is computed once, and a
+    leaf of several pieces is filled in a buffer."""
+    leaves = [_pairwise_leaves(m) if m > 0 else [] for m in ms]
+    sums: list = [[] for _ in ms]
+    mags = [np.empty(max(m, 0)) for m in ms]
+    bufs = [None] * len(ms)
+    a = 0
+    for b in sorted({hi for ls in leaves for _, hi in ls}):
+        logn = np.log(np.arange(start + a, start + b, dtype=float))
+        r = (start + a) % q
+        base = table[r:r + b - a] * np.exp(-s * logn)
+        for i, deriv in enumerate(derivs):
+            if a >= ms[i]:
+                continue
+            lo, hi = leaves[i][len(sums[i])]
+            terms = base * (-logn) if deriv else base
+            if (lo, hi) != (a, b):
+                if bufs[i] is None:
+                    bufs[i] = np.empty(_TREE_LEAF, complex)
+                bufs[i][a - lo:b - lo] = terms
+                if b < hi:
+                    continue
+                terms = bufs[i][:hi - lo]
+            sums[i].append(complex(terms.sum()))
+            np.abs(terms, out=mags[i][lo:hi])
+        a = b
+    return [(_pairwise_total(m, iter(sm)), float(mg.sum())) if m > 0 else None
+            for m, sm, mg in zip(ms, sums, mags)]
+
+
 def _eval_series(chi: DirichletCharacter, s: complex, derivs: tuple, Ns: tuple) -> tuple:
     """sum chi(n) n^-s  (or -sum chi(n) log n n^-s), certified Abel tail.
 
     One value per entry of derivs (False for L, True for L'), each summed over
-    its own cutoff N in Ns (from _series_cutoffs) from one array of terms
+    its own cutoff N in Ns (from _series_cutoffs) from one set of terms
     chi(n) n^-s.  Each bar is the tail bound plus the rounding of the sum,
     (8e-16 + 2 eps |s| log N) times the summed magnitudes: np.log(n) is
     within one ulp (relative eps) and s * log n rounds each of its parts
     once (eps/2), so the exponent of n^-s is off by at most
     1.5 eps |s| log n <= 2 eps |s| log N, which exp turns into the same
     relative error of the term.
+
+    The terms go _SERIES_CHUNK at a time into each running total and each
+    sum of magnitudes, and a chunk's sum is np.add.reduce's over its terms.
+    A chunk whose sums fit in one leaf (_TREE_LEAF terms) is one array of
+    terms, chi(n) gathered by n mod q; a larger one is summed on the same
+    pairwise tree, one leaf of terms at a time (_pairwise_leaves,
+    _pairwise_total), chi(n) sliced from a periodic table and the
+    magnitudes written to one float64 array summed once.  So every value
+    and bar is the same bytes as one array's sum, while a pass holds one
+    leaf of terms and 8 bytes a term of the chunk.  A pass for L and L'
+    computes each term once: it walks the union of the two trees' leaf
+    boundaries and fills a leaf that spans several pieces in a buffer.
     """
     N_max = max(Ns)
     if N_max > _SERIES_TERM_CAP:
         raise PrecisionLossError("direct series would need too many terms", math.nan)
-    vals = chi.data.values
+    vals, q = chi.data.values, chi.q
+    table = None  # vals periodic over a leaf from any residue, for chunks of several leaves
     totals = [0j] * len(derivs)
     absaccs = [0.0] * len(derivs)
-    for start in range(1, N_max + 1, 400_000):
-        stop = min(N_max + 1, start + 400_000)
-        n = np.arange(start, stop, dtype=float)
-        logn = np.log(n)
-        base = vals[np.arange(start, stop) % chi.q] * np.exp(-s * logn)
-        for i, (deriv, N) in enumerate(zip(derivs, Ns)):
-            m = min(N + 1, stop) - start  # this sum's terms in the chunk
-            if m <= 0:
-                continue
-            terms = base[:m] * (-logn[:m]) if deriv else base[:m]
-            totals[i] += complex(terms.sum())
-            absaccs[i] += float(np.abs(terms).sum())
+    for start in range(1, N_max + 1, _SERIES_CHUNK):
+        stop = min(N_max + 1, start + _SERIES_CHUNK)
+        ms = [min(N + 1, stop) - start for N in Ns]  # each sum's terms in the chunk
+        if stop - start <= _TREE_LEAF:
+            n = np.arange(start, stop, dtype=float)
+            logn = np.log(n)
+            base = vals[np.arange(start, stop) % q] * np.exp(-s * logn)
+            for i, (deriv, m) in enumerate(zip(derivs, ms)):
+                if m <= 0:
+                    continue
+                terms = base[:m] * (-logn[:m]) if deriv else base[:m]
+                totals[i] += complex(terms.sum())
+                absaccs[i] += float(np.abs(terms).sum())
+            continue
+        if table is None:
+            table = np.tile(vals, -(-(_TREE_LEAF + q - 1) // q))
+        for i, got in enumerate(_series_chunk(table, q, s, start, derivs, ms)):
+            if got is not None:
+                totals[i] += got[0]
+                absaccs[i] += got[1]
     return tuple(
         ComplexValue(total, _series_tail_bound(chi, s, deriv, N)
                      + (8e-16 + 2 * _EPS * abs(s) * math.log(N)) * absacc)
@@ -478,8 +562,9 @@ _ROUTES = ("series", "hurwitz", "fe")  # the routes a caller may force
 def _leaf(leaves: list, chi: DirichletCharacter, s: complex, derivs: tuple,
           params: Optional[tuple] = None) -> int:
     """Defer a Hurwitz pass at s to leaves, with the engine's (N, K, rem)
-    for it (params, or _em_pair's when None): its index, s = 1 included."""
-    leaves.append((chi, s, derivs, _em_pair(chi, s) if params is None else params))
+    for it, or None for _eval_block to choose them if the pass cache does
+    not serve it: its index, s = 1 included."""
+    leaves.append((chi, s, derivs, params))
     return len(leaves) - 1
 
 
@@ -536,12 +621,13 @@ def _eval_block(chi: DirichletCharacter, points: list, derivs: tuple, route: str
     between, and caches what it evaluates; the _ROUTES plan every point on
     that route and touch no cache.  The Hurwitz passes that the auto route
     does not find in the pass cache go through special._hurwitz_core_many
-    together.  Points are checked and planned in order, so the first one
-    refused raises: outside the window, an unknown route, or its route's
-    own refusal."""
+    together, each with the (N, K, rem) that _upper_parts chose for it, or
+    else _em_pair's, chosen for these passes alone.  Points are checked and
+    planned in order, so the first one refused raises: outside the window,
+    an unknown route, or its route's own refusal."""
     got: dict = {}  # (s, deriv) -> value, for the answer
     todo: dict = {}  # s -> (derivs to evaluate, (F, F') or None, passes)
-    leaves: list = []  # (character, point, derivs, (N, K, rem)) of each Hurwitz pass
+    leaves: list = []  # (character, point, derivs, (N, K, rem) or None) of each Hurwitz pass
     auto = route == "auto"
     for s in points:
         _check_window(chi, s)
@@ -574,8 +660,10 @@ def _eval_block(chi: DirichletCharacter, points: list, derivs: tuple, route: str
     misses = [i for i, r in enumerate(results) if r is None]
     if misses:
         want_ds = any(True in leaves[i][2] for i in misses)
-        core = _hurwitz_core_many([leaves[i][1] for i in misses], [leaves[i][3] for i in misses],
-                                  chi.data.residues, want_ds)
+        zs = [leaves[i][1] for i in misses]
+        params = [_em_pair(chi, z) if leaves[i][3] is None else leaves[i][3]
+                  for i, z in zip(misses, zs)]
+        core = _hurwitz_core_many(zs, params, chi.data.residues, want_ds)
         for j, engine_out in core:
             c, z, ds, _ = leaves[misses[j]]
             results[misses[j]] = _hurwitz_values(c, z, ds, *engine_out)

@@ -851,6 +851,9 @@ def list_zeros(
     return sorted(recs, key=lambda r: (r.location.imag, r.location.real))
 
 
+_JITTERS = (0.5, 0.513, 0.487, 0.531)  # where _split_cell cuts a cell, in the order tried
+
+
 def _subdivide(chi, which: Which, region: Contour, count: int, mesh: float = 1.0) -> list[ZeroRecord]:
     """Records of the count zeros inside the region's rectangle, by
     quadrisection (_split_cell) down to cells that hold one zero, then
@@ -862,23 +865,31 @@ def _subdivide(chi, which: Which, region: Contour, count: int, mesh: float = 1.0
     only the upper cells are subdivided; each of their records is
     returned with its conjugate.  When that cut meets a zero, or its
     upper counts are not half the region's, the region is split in full
-    as for a complex chi."""
+    as for a complex chi; after a zero, that split skips its own cut at
+    jitter 0.5, whose upper quadrants are the contours that met it."""
     f = _evaluator(chi, which)
     sl, sr, tl, th = region.sigma_left, region.sigma_right, region.t_min, region.t_max
-    upper = None
+    upper, jitters = None, _JITTERS
     if getattr(f, "conj_symmetric", False) and tl == -th:
-        upper = _split_upper(f, sl, sr, th, count, mesh)
+        try:
+            upper = _split_upper(f, sl, sr, th, count, mesh)
+        except (BoundaryZeroError, NumericalError):
+            jitters = _JITTERS[1:]
     if upper is None:
-        return _quadrisect(f, which, [(sl, sr, tl, th, count)], mesh)
+        return _quadrisect(f, which, [(sl, sr, tl, th, count)], mesh, jitters)
     out = _quadrisect(f, which, upper, mesh)
     return out + [replace(r, location=r.location.conjugate()) for r in out]
 
 
-def _quadrisect(f, which: Which, stack: list, mesh: float = 1.0) -> list[ZeroRecord]:
-    """The records of the cells (sl, sr, tl, th, count) on the stack."""
+def _quadrisect(f, which: Which, stack: list, mesh: float = 1.0,
+                jitters: tuple = _JITTERS) -> list[ZeroRecord]:
+    """The records of the cells (sl, sr, tl, th, count) on the stack: the
+    first cell popped is cut at the jitters given, every other one at
+    _JITTERS."""
     out: list[ZeroRecord] = []
     while stack:
         sl, sr, tl, th, n = stack.pop()
+        tries, jitters = jitters, _JITTERS
         diag = math.hypot(sr - sl, th - tl)
         if n == 1 and diag < 0.75:
             rec = _polish_cell(f, which, sl, sr, tl, th)
@@ -898,30 +909,28 @@ def _quadrisect(f, which: Which, stack: list, mesh: float = 1.0) -> list[ZeroRec
                 )
             )
             continue
-        stack.extend(_split_cell(f, sl, sr, tl, th, n, mesh))
+        stack.extend(_split_cell(f, sl, sr, tl, th, n, mesh, tries))
     return out
 
 
 def _split_upper(f, sl, sr, th, n, mesh: float = 1.0):
     """The upper half of _split_cell's first cut of (sl, sr) x (-th, th),
     which lies on the real axis: its two upper quadrants, wound at the
-    same mesh, with their counts, when those add up to n / 2; else None."""
+    same mesh, with their counts, when those add up to n / 2; else None.
+    A winding that meets a zero raises."""
     if n % 2:
         return None
     sm = sl + 0.5 * (sr - sl)
     quads = [(sl, sm, 0.0, th), (sm, sr, 0.0, th)]
-    try:
-        counts = [winding_count(f, rectangle(*qd), mesh=0.7 * mesh) for qd in quads]
-    except (BoundaryZeroError, NumericalError):
-        return None
+    counts = [winding_count(f, rectangle(*qd), mesh=0.7 * mesh) for qd in quads]
     if 2 * sum(counts) != n:
         return None
     return [qd + (c,) for qd, c in zip(quads, counts) if c > 0]
 
 
-def _split_cell(f, sl, sr, tl, th, n, mesh: float = 1.0):
+def _split_cell(f, sl, sr, tl, th, n, mesh: float = 1.0, jitters: tuple = _JITTERS):
     """Quadrisect with deterministic jitter, retrying if a cut hits a zero."""
-    for jitter in (0.5, 0.513, 0.487, 0.531):
+    for jitter in jitters:
         sm = sl + jitter * (sr - sl)
         tm = tl + jitter * (th - tl)
         quads = [(sl, sm, tl, tm), (sm, sr, tl, tm), (sl, sm, tm, th), (sm, sr, tm, th)]

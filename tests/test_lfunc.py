@@ -3,7 +3,9 @@
 import cmath
 import math
 import struct
+import tracemalloc
 import warnings
+from collections import Counter
 
 import mpmath
 import numpy as np
@@ -502,6 +504,51 @@ def test_series_route_over_several_chunks_and_past_its_cap(chi5):
             assert got == _outcome(lambda: _ref_eval_series(chi5, s, deriv)), (s, deriv)
 
 
+def test_series_pair_walks_both_trees_to_the_single_value_bytes(chi5):
+    # one pass for L and L' whose cutoffs differ: one leaf against several,
+    # two trees in one chunk, and L' past the chunk where L ends
+    for s in (2.5 + 0.5j, 2.2 + 0.5j, 1.8 + 3j):
+        [(L, Lp)] = lf._eval_many(chi5, [s], lf._PAIR, "series")
+        assert _bits(L) == _bits(_ref_eval_series(chi5, s, False)), s
+        assert _bits(Lp) == _bits(_ref_eval_series(chi5, s, True)), s
+
+
+_TREE_LENGTHS = (1, 7, 8, 9, 63, 64, 65, 127, 128, 129, (1 << 14) - 1, (1 << 14) + 1,
+                 (1 << 15) + 3, 113_272, 400_000)
+
+
+def test_pairwise_tree_sums_as_numpy_does():
+    # the series route sums a chunk leaf by leaf on the tree np.add.reduce
+    # walks: if NumPy's pairwise rule changes, this fails first
+    rng = np.random.default_rng(24)
+    for L in _TREE_LENGTHS:
+        x = rng.standard_normal((2, L)) * np.exp(8.0 * rng.standard_normal((2, L)))
+        terms = x[0] + 1j * x[1]
+        leaves = lf._pairwise_leaves(L)
+        assert leaves[0][0] == 0 and leaves[-1][1] == L
+        assert all(b == c and 0 < b - a <= lf._TREE_LEAF
+                   for (a, b), (c, _) in zip(leaves, leaves[1:] + [(L, L)]))
+        total = lf._pairwise_total(L, iter(complex(terms[a:b].sum()) for a, b in leaves))
+        assert struct.pack("<2d", total.real, total.imag) == terms.sum().tobytes(), L
+
+
+def test_series_pass_holds_one_leaf_and_its_magnitudes():
+    # traced peaks: a leaf of terms and 8 bytes a term of the chunk, not
+    # the chunk's arrays (24.4 MB and 30.5 MB when each chunk was built whole)
+    chi7 = ch.from_label(7, 0)
+    chi5 = ch.from_label(5, 1)
+    for call, bound in ((lambda: lf.eval_Lprime(chi7, 2.039021329973542 - 4.412776720155742j,
+                                                route="series"), 6e6),
+                        (lambda: lf.eval_L(chi5, 1.6, route="series"), 8e6)):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, peak
+
+
 def test_logderiv_via_fteq_equals_the_single_value_routes(pair_chars):
     for chi in pair_chars:
         pts = lattice_points(20, (-80.0, -1.0), (-100.0, 100.0)) + [-1.0 + 0.5j, -79.0 + 1j]
@@ -585,25 +632,59 @@ def test_upper_route_takes_the_series_iff_its_cutoff_is_at_most_a_hurwitz_pass(p
 
 
 def test_em_params_runs_at_most_once_per_planned_point(capsys, monkeypatch):
+    # the misses of a block choose their (N, K, rem) after the block is
+    # planned, so each call is charged to its point: the point of the
+    # Hurwitz pass, 1 - s for a plan on the functional equation
     from lderiv import cli
 
-    per_point = []  # _choose_em_params calls of each planned point
+    planned, calls = Counter(), Counter()  # by the point of the Hurwitz pass
     plan, em_params = lf._plan, lf._choose_em_params
 
-    def counting_plan(*args):
-        per_point.append(0)
-        return plan(*args)
+    def counting_plan(leaves, chi, s, derivs, route):
+        planned[1.0 - s if route == "fe" else s] += 1
+        return plan(leaves, chi, s, derivs, route)
 
-    def counting_em_params(*args):
-        per_point[-1] += 1
-        return em_params(*args)
+    def counting_em_params(s, a_min, tol):
+        calls[s] += 1
+        return em_params(s, a_min, tol)
 
     monkeypatch.setattr(lf, "_plan", counting_plan)
     monkeypatch.setattr(lf, "_choose_em_params", counting_em_params)
     lf.clear_cache()
     assert cli.run(["verify", "all", "--q", "5", "--label", "1", "--T", "10"]) == 0
     capsys.readouterr()
-    assert max(per_point) == 1 and per_point.count(0) > 0, (len(per_point), sum(per_point))
+    assert all(calls[z] <= planned[z] for z in calls), sorted(z for z in calls if calls[z] > planned[z])
+    assert 0 < sum(calls.values()) < sum(planned.values())
+    lf.clear_cache()
+
+
+def test_em_params_runs_only_for_the_passes_the_engine_runs(monkeypatch):
+    # the second character of a modulus takes most of its Hurwitz passes
+    # from the pass cache; (N, K, rem) is chosen only for those the engine
+    # runs (no point here reaches the upper route's policy, Re s >= 2)
+    from lderiv import zeros as zr
+
+    chis = ch.enumerate_primitive(23)[:2]
+    box = zr.rectangle(-0.75, 1.75, -6.0, 6.0)
+    calls, engine = [], []
+    em_params, core_many = lf._choose_em_params, lf._hurwitz_core_many
+
+    def counting_em_params(*args):
+        calls[-1] += 1
+        return em_params(*args)
+
+    def counting_core_many(points, *args):
+        engine[-1] += len(points)
+        return core_many(points, *args)
+
+    monkeypatch.setattr(lf, "_choose_em_params", counting_em_params)
+    monkeypatch.setattr(lf, "_hurwitz_core_many", counting_core_many)
+    lf.clear_cache()
+    for chi in chis:
+        calls.append(0)
+        engine.append(0)
+        zr.winding_count(zr._evaluator(chi, "Lprime"), box)
+    assert calls == engine and 0 < engine[1] < engine[0], (calls, engine)
     lf.clear_cache()
 
 

@@ -417,7 +417,8 @@ def test_mirrored_split_lists_as_the_full_split(chi5, chi23, chi229, monkeypatch
     real axis: only the upper quadrants are wound and subdivided, and the
     records are those of the full split, repr for repr.  At (229, 113) L'
     has a real zero at about 2.329 on that cut: the split falls back to
-    the full one, with the full split's records."""
+    the full one, with the full split's records, and skips the full
+    split's cut on the axis, whose upper-left quadrant met that zero."""
     box = zr.rectangle(0.0, 20.0, -10.0, 10.0)
     lower = [zr.rectangle(0.0, 10.0, -10.0, 0.0), zr.rectangle(10.0, 20.0, -10.0, 0.0)]
     for chi, n in ((chi5, 2), (chi23, 6), (chi229, 16)):
@@ -426,7 +427,10 @@ def test_mirrored_split_lists_as_the_full_split(chi5, chi23, chi229, monkeypatch
         assert len(recs) == n and repr(recs) == repr(full), chi.q
         if chi is chi229:
             # the zero on the axis stops the first lower quadrant's winding
-            assert lower[0] in wound and lower[0] in full_wound
+            # in the full split; the fallback winds no quadrant of that cut
+            # and the failed upper-left one once
+            assert lower[0] in full_wound and not [c for c in lower if c in wound]
+            assert wound.count(zr.rectangle(0.0, 10.0, 0.0, 10.0)) == 1
             assert any(abs(r.location - 2.329) < 1e-3 and abs(r.location.imag) < 1e-12 for r in recs)
         else:
             assert all(c in full_wound for c in lower)
