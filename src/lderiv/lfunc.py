@@ -267,61 +267,96 @@ def _series_cutoffs(chi: DirichletCharacter, s: complex, derivs: tuple) -> tuple
 
 
 _SERIES_CHUNK = 400_000  # terms of a series pass summed into its totals at a time
-_TREE_LEAF = 1 << 14  # the most terms of a chunk's sum built as one array
+_TREE_LEAF = 1 << 14  # the most terms of a leaf of a chunk's sum, built as one array
 
 
-def _pairwise_leaves(L: int, start: int = 0) -> list:
+def _tree_split(L: int, cplx: bool) -> int:
+    """Where the pairwise sum that np.add.reduce walks splits a node of L
+    terms: at (L - L % 8) // 2 for complex128 (a node of 2L doubles), at
+    L // 2 - (L // 2) % 8 for float64."""
+    return (L - L % 8) // 2 if cplx else L // 2 - (L // 2) % 8
+
+
+def _pairwise_leaves(L: int, cplx: bool = True, start: int = 0) -> list:
     """The leaves (start, stop) of the pairwise tree that np.add.reduce walks
-    to sum L complex128 terms from start on, cut at nodes of at most
-    _TREE_LEAF terms: a larger node of L terms splits at (L - L % 8) // 2."""
+    to sum L complex128 (or float64) terms from start on, cut at nodes of at
+    most _TREE_LEAF terms."""
     if L <= _TREE_LEAF:
         return [(start, start + L)]
-    h = (L - L % 8) // 2
-    return _pairwise_leaves(h, start) + _pairwise_leaves(L - h, start + h)
+    h = _tree_split(L, cplx)
+    return _pairwise_leaves(h, cplx, start) + _pairwise_leaves(L - h, cplx, start + h)
 
 
-def _pairwise_total(L: int, sums) -> complex:
-    """The np.add.reduce sum of L complex128 terms from the sums of the
-    leaves of _pairwise_leaves(L) (an iterator, in that order), added up
-    the same tree: the same bytes as summing the L terms at once."""
+def _pairwise_total(L: int, sums, cplx: bool = True):
+    """The np.add.reduce sum of L complex128 (or float64) terms from the sums
+    of the leaves of _pairwise_leaves(L, cplx) (an iterator, in that order),
+    added up the same tree: the same bytes as summing the L terms at once."""
     if L <= _TREE_LEAF:
         return next(sums)
-    h = (L - L % 8) // 2
-    return _pairwise_total(h, sums) + _pairwise_total(L - h, sums)
+    h = _tree_split(L, cplx)
+    return _pairwise_total(h, sums, cplx) + _pairwise_total(L - h, sums, cplx)
+
+
+class _TreeSum:
+    """np.add.reduce's sum of m complex128 terms, or of their float64
+    magnitudes (mag), fed the terms in consecutive pieces and walked one
+    leaf of its pairwise tree at a time: a leaf is summed once its terms
+    are in, from a buffer unless it is one piece of terms."""
+
+    def __init__(self, m: int, mag: bool = False):
+        self.m, self.mag = m, mag
+        self.leaves = _pairwise_leaves(m, not mag)
+        self.sums: list = []
+        self.buf = None
+
+    def add(self, start: int, x) -> None:
+        """Take the terms start, start + 1, ..., start + len(x) - 1."""
+        a, b = start, start + len(x)
+        while a < b:
+            lo, hi = self.leaves[len(self.sums)]
+            c = min(b, hi)
+            leaf = x[a - start:c - start]
+            if self.mag or (a, c) != (lo, hi):
+                if self.buf is None:
+                    self.buf = np.empty(_TREE_LEAF, float if self.mag else complex)
+                if self.mag:
+                    np.abs(leaf, out=self.buf[a - lo:c - lo])
+                else:
+                    self.buf[a - lo:c - lo] = leaf
+                leaf = self.buf[:hi - lo]
+            if c == hi:
+                self.sums.append(float(leaf.sum()) if self.mag else complex(leaf.sum()))
+            a = c
+
+    def total(self):
+        return _pairwise_total(self.m, iter(self.sums), not self.mag)
 
 
 def _series_chunk(table, q: int, s: complex, start: int, derivs: tuple, ms: list) -> list:
     """(sum, sum of magnitudes) of the terms n = start, ..., start + m - 1
-    of each entry of derivs and its m in ms (None where m <= 0), walked
-    one leaf of each pairwise tree at a time: chi(n) is table[n mod q], each
-    piece between the union of the leaf boundaries is computed once, and a
-    leaf of several pieces is filled in a buffer."""
-    leaves = [_pairwise_leaves(m) if m > 0 else [] for m in ms]
-    sums: list = [[] for _ in ms]
-    mags = [np.empty(max(m, 0)) for m in ms]
-    bufs = [None] * len(ms)
+    of each entry of derivs and its m in ms (None where m <= 0), each sum
+    walked one leaf of its own pairwise tree at a time (_TreeSum): chi(n)
+    is table[n mod q], and each piece between the union of the complex
+    trees' leaf boundaries is computed once, in arrays of one leaf kept for
+    the chunk."""
+    trees = [(_TreeSum(m), _TreeSum(m, mag=True)) if m > 0 else () for m in ms]
+    steps = np.arange(_TREE_LEAF, dtype=float)
+    logn, neglog = np.empty(_TREE_LEAF), np.empty(_TREE_LEAF)
+    base, dterms = np.empty(_TREE_LEAF, complex), np.empty(_TREE_LEAF, complex)
     a = 0
-    for b in sorted({hi for ls in leaves for _, hi in ls}):
-        logn = np.log(np.arange(start + a, start + b, dtype=float))
-        r = (start + a) % q
-        base = table[r:r + b - a] * np.exp(-s * logn)
-        for i, deriv in enumerate(derivs):
-            if a >= ms[i]:
-                continue
-            lo, hi = leaves[i][len(sums[i])]
-            terms = base * (-logn) if deriv else base
-            if (lo, hi) != (a, b):
-                if bufs[i] is None:
-                    bufs[i] = np.empty(_TREE_LEAF, complex)
-                bufs[i][a - lo:b - lo] = terms
-                if b < hi:
-                    continue
-                terms = bufs[i][:hi - lo]
-            sums[i].append(complex(terms.sum()))
-            np.abs(terms, out=mags[i][lo:hi])
+    for b in sorted({hi for t in trees if t for _, hi in t[0].leaves}):
+        k, r = b - a, (start + a) % q
+        lg = np.log(np.add(steps[:k], start + a, out=logn[:k]), out=logn[:k])
+        bk = np.exp(np.multiply(-s, lg, out=base[:k]), out=base[:k])
+        np.multiply(table[r:r + k], bk, out=bk)
+        for deriv, m, t in zip(derivs, ms, trees):
+            if a < m:
+                terms = (np.multiply(bk, np.negative(lg, out=neglog[:k]), out=dterms[:k])
+                         if deriv else bk)
+                for tree in t:
+                    tree.add(a, terms)
         a = b
-    return [(_pairwise_total(m, iter(sm)), float(mg.sum())) if m > 0 else None
-            for m, sm, mg in zip(ms, sums, mags)]
+    return [tuple(tree.total() for tree in t) or None for t in trees]
 
 
 def _eval_series(chi: DirichletCharacter, s: complex, derivs: tuple, Ns: tuple) -> tuple:
@@ -340,13 +375,12 @@ def _eval_series(chi: DirichletCharacter, s: complex, derivs: tuple, Ns: tuple) 
     sum of magnitudes, and a chunk's sum is np.add.reduce's over its terms.
     A chunk whose sums fit in one leaf (_TREE_LEAF terms) is one array of
     terms, chi(n) gathered by n mod q; a larger one is summed on the same
-    pairwise tree, one leaf of terms at a time (_pairwise_leaves,
-    _pairwise_total), chi(n) sliced from a periodic table and the
-    magnitudes written to one float64 array summed once.  So every value
-    and bar is the same bytes as one array's sum, while a pass holds one
-    leaf of terms and 8 bytes a term of the chunk.  A pass for L and L'
-    computes each term once: it walks the union of the two trees' leaf
-    boundaries and fills a leaf that spans several pieces in a buffer.
+    pairwise tree, one leaf of terms at a time (_TreeSum), chi(n) sliced
+    from a periodic table, and its magnitudes on float64's own pairwise
+    tree.  So every value and bar is the same bytes as one array's sum,
+    while a pass holds a few leaves of terms, whatever its length.  A pass
+    for L and L' computes each term once: it walks the union of the
+    trees' leaf boundaries.
     """
     N_max = max(Ns)
     if N_max > _SERIES_TERM_CAP:

@@ -518,23 +518,36 @@ _TREE_LENGTHS = (1, 7, 8, 9, 63, 64, 65, 127, 128, 129, (1 << 14) - 1, (1 << 14)
 
 
 def test_pairwise_tree_sums_as_numpy_does():
-    # the series route sums a chunk leaf by leaf on the tree np.add.reduce
-    # walks: if NumPy's pairwise rule changes, this fails first
+    # the series route sums a chunk leaf by leaf on the trees np.add.reduce
+    # walks for complex128 terms and their float64 magnitudes: if NumPy's
+    # pairwise rule changes, this fails first
     rng = np.random.default_rng(24)
     for L in _TREE_LENGTHS:
         x = rng.standard_normal((2, L)) * np.exp(8.0 * rng.standard_normal((2, L)))
-        terms = x[0] + 1j * x[1]
-        leaves = lf._pairwise_leaves(L)
-        assert leaves[0][0] == 0 and leaves[-1][1] == L
-        assert all(b == c and 0 < b - a <= lf._TREE_LEAF
-                   for (a, b), (c, _) in zip(leaves, leaves[1:] + [(L, L)]))
-        total = lf._pairwise_total(L, iter(complex(terms[a:b].sum()) for a, b in leaves))
-        assert struct.pack("<2d", total.real, total.imag) == terms.sum().tobytes(), L
+        for terms in (x[0] + 1j * x[1], np.hypot(x[0], x[1])):
+            cplx = terms.dtype == complex
+            leaves = lf._pairwise_leaves(L, cplx)
+            assert leaves[0][0] == 0 and leaves[-1][1] == L
+            assert all(b == c and 0 < b - a <= lf._TREE_LEAF
+                       for (a, b), (c, _) in zip(leaves, leaves[1:] + [(L, L)]))
+            total = lf._pairwise_total(L, iter(terms[a:b].sum() for a, b in leaves), cplx)
+            assert np.array(total).tobytes() == terms.sum().tobytes(), (L, cplx)
+        # fed a piece at a time, cut at both trees' leaf boundaries
+        z = x[0] + 1j * x[1]
+        trees = (lf._TreeSum(L), lf._TreeSum(L, mag=True))
+        a = 0
+        for b in sorted({hi for c in (True, False) for _, hi in lf._pairwise_leaves(L, c)}):
+            for tree in trees:
+                tree.add(a, z[a:b])
+            a = b
+        for tree, want in zip(trees, (z.sum(), np.abs(z).sum())):
+            assert np.array(tree.total()).tobytes() == want.tobytes(), (L, tree.mag)
 
 
-def test_series_pass_holds_one_leaf_and_its_magnitudes():
-    # traced peaks: a leaf of terms and 8 bytes a term of the chunk, not
-    # the chunk's arrays (24.4 MB and 30.5 MB when each chunk was built whole)
+def test_series_pass_holds_a_few_leaves():
+    # traced peaks: a few leaves of terms, not the chunk's arrays (24.4 MB
+    # and 30.5 MB when each chunk was built whole, 4.4 MB and 6.5 MB with
+    # its magnitudes in one array)
     chi7 = ch.from_label(7, 0)
     chi5 = ch.from_label(5, 1)
     for call, bound in ((lambda: lf.eval_Lprime(chi7, 2.039021329973542 - 4.412776720155742j,
