@@ -51,9 +51,10 @@ the engine's scalar form); the series route and F(s) stay one call per
 point.  Every value and bar is the same bytes however the points are batched.
 
 Only eval_L_grid and eval_Lprime_grid, never the planner, take the grid
-engine: points with Re s > 0 (the zero oracle's grids), outside the point
-cache, in one special.hurwitz_grid call over the distinct real x imaginary
-parts; the zero oracle also reads each value's error bound from _grid_eval.
+engine: points with Re s > 0 in the window, outside the point cache, in
+one special.hurwitz_grid call over the distinct real x imaginary parts.
+(The zero oracle reads the engine's blocks, values and error bounds,
+straight from special._grid_blocks.)
 """
 
 from __future__ import annotations
@@ -850,12 +851,17 @@ def _distinct(x: np.ndarray) -> np.ndarray:
 def _grid_eval(chi: DirichletCharacter, S: np.ndarray, deriv: bool):
     """(values, errs) of L (deriv False) or L' at the points S with Re s > 0:
     one hurwitz_grid call over the distinct real parts x the distinct
-    imaginary parts of S."""
+    imaginary parts of S, which gathers each point from the engine's block
+    of its t-chunk.  The points must lie in the window, as for eval_L:
+    DomainError for a point that is not finite, PrecisionLossError for one
+    outside the window."""
     S = np.asarray(S, dtype=complex).ravel()
     if not np.isfinite(S).all():
         raise DomainError("grid points must be finite")
     if not S.size:
         return np.empty(0, complex), np.empty(0)
+    outside = (np.abs(S.real) > SIGMA_MAX) | (np.abs(S.imag) > T_MAX)
+    _check_window(chi, complex(S[np.argmax(outside)]))  # the first point outside, else S[0]
     sigma, t = _distinct(S.real), _distinct(S.imag)
     index = np.int32 if S.size < 2**31 else np.intp  # half the memory of a scan's indices
     rows = np.searchsorted(sigma, S.real).astype(index)

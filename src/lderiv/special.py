@@ -18,13 +18,15 @@ derivative in s comes from termwise differentiation of the same expansion.
 Near s = 1 the engine leaves out the pole 1/(s - 1), which a character's
 weights cancel, and takes the rest in expm1 form; _hurwitz_core adds it back.
 
-The grids of the zero scans go through hurwitz_grid, which evaluates
+The grids of the zero scans go through _grid_blocks, which evaluates
 sum_m f(m) m^-s for q-periodic f on a product of real parts sigma and
 imaginary parts t.  There each Euler-Maclaurin piece except the pole term
 is a function of sigma times a function of t (m^-s = m^-sigma e^(-it log m),
 and (s)_{2j-1} is a polynomial in it), so a chunk of the grid is one real
 matrix product; K is then nearly free and N runs small.  Each value comes
-with its own error bound.
+with its own error bound.  _grid_blocks yields the grid one chunk of t
+rows at a time, which the zero oracle scans as it comes; hurwitz_grid
+gathers chosen points of the grid from the same blocks.
 
 Digamma and log-gamma use recurrence shifts to Re(z) >= 10 followed by the
 asymptotic Bernoulli series; both are valid on the cut plane C \\ (-inf, 0].
@@ -484,7 +486,7 @@ def _em_remainder_grid(sigma_min: float, s_abs_max: float, K: int, x_min: float)
 _GRID_TOL = 1e-12  # target of each grid value's remainder bound
 _GRID_N_CAP = 4000
 _GRID_K_CAP = 40
-_GRID_ENTRIES = 1 << 17  # bounds a chunk's transient arrays (2 MiB of complex each)
+_GRID_ENTRIES = 1 << 17  # bounds a block's factor and phase matrices (2 MiB of complex each)
 _EPS_LD = float(np.finfo(np.longdouble).eps)
 _TWO_PI_LD = 8 * np.arctan(np.longdouble(1))
 
@@ -577,13 +579,12 @@ def _pole_near(z: np.ndarray, w: np.ndarray, log_x: np.ndarray, q: int, want_ds:
     return val, mag
 
 
-def hurwitz_grid(sigma: np.ndarray, t: np.ndarray, q: int, f: np.ndarray,
-                 rows: np.ndarray, cols: np.ndarray, want_ds: bool = False):
+def _grid_blocks(sigma: np.ndarray, t: np.ndarray, q: int, f: np.ndarray, want_ds: bool = False):
     """Z(s) = sum_{m >= 1} f(m) m^-s = q^-s sum_{a=1}^{q} f(a) zeta(s, a/q), or
-    Z'(s), at the points sigma[rows] + i t[cols] of the grid sigma x t (all
-    sigma > 0), for q-periodic f (f(m) = f[m % q]) summing to 0 over a period.
-
-    Returns (vals, errs) in the order of rows and cols; errs bound the
+    Z'(s), on the whole grid sigma x t (all sigma > 0), for q-periodic f
+    (f(m) = f[m % q]) summing to 0 over a period: a generator of
+    (c0, vals, errs), one dense block of shape (len(tc), len(sigma)) per
+    chunk tc = t[c0:c0 + t_chunk], in the order of t.  errs bound the
     Euler-Maclaurin remainder plus the rounding of each value.  With
     m = nq + a, X_a = Nq + a and x_a = X_a / q, Euler-Maclaurin gives
 
@@ -596,17 +597,25 @@ def hurwitz_grid(sigma: np.ndarray, t: np.ndarray, q: int, f: np.ndarray,
     chunk of the grid is one real matrix product, sigma-rows (m^-sigma, and
     X_a^-sigma times the tau-coefficients) against t-columns (f(m)
     exp(-i t log m), and f(a) tau^k exp(-i t log X_a)), and the pole term is
-    a second product of A columns.  Requested points within _POLE_DISK of
-    s = 1 take the pole term from _pole_near, where the separated form would
-    cancel (as f sums to 0, Z is entire, s = 1 included); the other entries
-    of the product are computed but not used.
+    a second product of A columns.  Points within _POLE_DISK of s = 1 take
+    the pole term from _pole_near, one call per block of a sigma-chunk and
+    a t-chunk, where the separated form would cancel (as f sums to 0, Z is
+    entire, s = 1 included).
 
-    Raises DomainError for sigma <= 0 or f that does not sum to 0, and
-    PrecisionLossError when no N <= 4000 brings the remainder bound to _GRID_TOL.
+    The loop runs over the t-chunks: the phases of each are computed once,
+    and multiplied against every sigma-chunk in turn.  The sigma side of a
+    chunk is built once when the grid has one sigma-chunk, and per block
+    otherwise: keeping every sigma-chunk's side would hold one factor
+    matrix of up to _GRID_ENTRIES entries per sigma-chunk (27 at q = 229).
+    Every value and bar depends on the grid alone, not on which of its
+    points a caller reads.
+
+    Raises, on the first block, DomainError for sigma <= 0 or f that does
+    not sum to 0, and PrecisionLossError when no N <= 4000 brings the
+    remainder bound to _GRID_TOL.
     """
     sigma = np.asarray(sigma, dtype=float).ravel()
     t = np.asarray(t, dtype=float).ravel()
-    rows, cols = np.asarray(rows).ravel(), np.asarray(cols).ravel()
     if not sigma.min() > 0.0:
         raise DomainError("hurwitz_grid serves only Re s > 0")
     f = np.asarray(f, dtype=complex)
@@ -622,6 +631,7 @@ def hurwitz_grid(sigma: np.ndarray, t: np.ndarray, q: int, f: np.ndarray,
     log_ld = np.log(ints.astype(np.longdouble))  # the phase rows: m < Nq, then X_a
     logs = log_ld.astype(float)
     log_m, log_x = logs[:AN], logs[AN:]
+    log_x_max = float(log_x.max())
     w_all = np.concatenate([np.tile(w, N), w])
     absw_m = np.abs(w_all[:AN])
     x = (N * q + a) / q
@@ -631,78 +641,88 @@ def hurwitz_grid(sigma: np.ndarray, t: np.ndarray, q: int, f: np.ndarray,
     M = AN + 2 * K * A  # contraction length of the main product
 
     # factor matrices of at most _GRID_ENTRIES entries; the dozen or so arrays
-    # of one value per point of a chunk share another _GRID_ENTRIES
+    # of one value per point of a block share another _GRID_ENTRIES
     sig_chunk = max(1, min(len(sigma), _GRID_ENTRIES // M))
     t_chunk = max(1, min(_GRID_ENTRIES // M, _GRID_ENTRIES // (16 * sig_chunk)))
-    n_tchunks = -(-len(t) // t_chunk)
-    # the requested points by chunk; a grid scanned row by row is in order already
-    block = (rows // sig_chunk).astype(np.int64)  # rows may be 32-bit; block ids need not fit
-    block *= n_tchunks
-    block += cols // t_chunk
-    order = None
-    if not (block[1:] >= block[:-1]).all():
-        order = np.argsort(block, kind="stable")
-        block = block[order]
-    cuts = np.flatnonzero(block[1:] != block[:-1]) + 1
-    starts, ends = np.r_[0, cuts], np.r_[cuts, len(block)]
 
-    vals = np.empty(len(rows), dtype=complex)
-    errs = np.empty(len(rows))
-    cur = None
-    for b0, b1 in zip(starts, ends):
-        blk = int(block[b0])
-        si, ti = divmod(blk, n_tchunks)
-        r0, c0 = si * sig_chunk, ti * t_chunk
-        if si != cur:  # the sigma side of this chunk of rows
-            cur = si
-            sg = sigma[r0:r0 + sig_chunk]
-            D = np.exp(-np.multiply.outer(sg, log_m))
-            if want_ds:
-                D *= -log_m
-            xs = np.exp(-np.multiply.outer(sg, log_x))  # X_a^-sigma
-            H = _pochhammer_coefs(sg, K).transpose(1, 2, 0) @ C  # (sigma, tau^k, a)
-            H[:, 0, :] += 0.5
-            if want_ds:  # d/ds = d/dtau on the tau-polynomial, and -log X_a on X_a^-s
-                Hd = np.zeros_like(H)
-                Hd[:, :-1, :] = H[:, 1:, :] * tau_deg[1:, None]
-                H = Hd - log_x * H
-            V = xs[:, None, :] * H
-            W = np.concatenate([D, V.reshape(len(sg), 2 * K * A)], axis=1)
-            P = x * xs
-            Pm = np.concatenate([P, P * log_x]) if want_ds else P
-            acc0, acc1 = (np.abs(D) @ np.stack([absw_m, absw_m * log_m], axis=1)).T
-            v_acc = np.abs(V) @ np.abs(w)
-            p_acc = P @ np.abs(w)
-            pl_acc = (P * log_x) @ np.abs(w)
+    def sigma_side(r0: int):
+        """The factors of the sigma-chunk from row r0 on."""
+        sg = sigma[r0:r0 + sig_chunk]
+        D = np.exp(-np.multiply.outer(sg, log_m))
+        if want_ds:
+            D *= -log_m
+        xs = np.exp(-np.multiply.outer(sg, log_x))  # X_a^-sigma
+        H = _pochhammer_coefs(sg, K).transpose(1, 2, 0) @ C  # (sigma, tau^k, a)
+        H[:, 0, :] += 0.5
+        if want_ds:  # d/ds = d/dtau on the tau-polynomial, and -log X_a on X_a^-s
+            Hd = np.zeros_like(H)
+            Hd[:, :-1, :] = H[:, 1:, :] * tau_deg[1:, None]
+            H = Hd - log_x * H
+        V = xs[:, None, :] * H
+        W = np.concatenate([D, V.reshape(len(sg), 2 * K * A)], axis=1)
+        P = x * xs
+        Pm = np.concatenate([P, P * log_x]) if want_ds else P
+        acc0, acc1 = (np.abs(D) @ np.stack([absw_m, absw_m * log_m], axis=1)).T
+        v_acc = np.abs(V) @ np.abs(w)
+        p_acc = P @ np.abs(w)
+        pl_acc = (P * log_x) @ np.abs(w)
+        return sg, W, Pm, acc0, acc1, v_acc, p_acc, pl_acc
+
+    only = sigma_side(0) if len(sigma) <= sig_chunk else None
+    for c0 in range(0, len(t), t_chunk):
         tc = t[c0:c0 + t_chunk]
         E = _phases(log_ld, tc)
         E *= w_all[:, None]
         EX = E[AN:]
         tau_pow = (1j * tc) ** tau_deg[:, None]
         side = np.concatenate([E[:AN], (tau_pow[:, None, :] * EX).reshape(2 * K * A, len(tc))])
-        main = (W @ side.view(float)).view(complex)
-        pole = (Pm @ EX.view(float)).view(complex)
-        tail = v_acc @ np.abs(tau_pow)
+        side, EX, abs_pow = side.view(float), EX.view(float), np.abs(tau_pow)
+        t_rnd = 4 * _EPS_LD * np.abs(tc)
+        vals = np.empty((len(tc), len(sigma)), dtype=complex)
+        errs = np.empty((len(tc), len(sigma)))
+        for r0 in range(0, len(sigma), sig_chunk):
+            sg, W, Pm, acc0, acc1, v_acc, p_acc, pl_acc = only or sigma_side(r0)
+            main = (W @ side).view(complex)
+            pole = (Pm @ EX).view(complex)
+            tail = v_acc @ abs_pow
+            z = (sg - 1.0)[:, None] + 1j * tc
+            far = np.abs(z) >= _POLE_DISK
+            zf = np.where(far, z, 1.0)  # near entries are replaced below
+            if want_ds:
+                p_val = -pole[len(sg):] / zf - pole[:len(sg)] / (zf * zf)
+                p_mag = pl_acc[:, None] / np.abs(zf) + p_acc[:, None] / np.abs(zf) ** 2
+            else:
+                p_val = pole / zf
+                p_mag = p_acc[:, None] / np.abs(zf)
+            if not far.all():
+                p_val[~far], p_mag[~far] = _pole_near(z[~far], w, log_x, q, want_ds)
+            main += p_val
+            mag = acc0[:, None] + tail + p_mag
+            mag_log = acc1[:, None] + log_x_max * (tail + p_mag)
+            err = rem + 8 * _EPS * mag + (_EPS * sg[:, None] + t_rnd) * mag_log
+            vals[:, r0:r0 + len(sg)] = main.T
+            errs[:, r0:r0 + len(sg)] = err.T
+        yield c0, vals, errs
 
+
+def hurwitz_grid(sigma: np.ndarray, t: np.ndarray, q: int, f: np.ndarray,
+                 rows: np.ndarray, cols: np.ndarray, want_ds: bool = False):
+    """Z(s) (or Z'(s)) of _grid_blocks at the points sigma[rows] + i t[cols]
+    of the grid sigma x t, gathered from its blocks: (vals, errs) in the
+    order of rows and cols.  Raises as _grid_blocks does."""
+    rows, cols = np.asarray(rows).ravel(), np.asarray(cols).ravel()
+    order = None  # the points by t; a grid scanned row by row is in order already
+    if not (cols[1:] >= cols[:-1]).all():
+        order = np.argsort(cols, kind="stable")
+    by_t = cols if order is None else cols[order]
+    vals = np.empty(len(rows), dtype=complex)
+    errs = np.empty(len(rows))
+    for c0, block_vals, block_errs in _grid_blocks(sigma, t, q, f, want_ds):
+        b0, b1 = np.searchsorted(by_t, [c0, c0 + len(block_vals)])
         idx = slice(b0, b1) if order is None else order[b0:b1]
-        r, c = rows[idx] - r0, cols[idx] - c0
-        z = sg[r] - 1.0 + 1j * tc[c]
-        p_mag = np.empty(len(z))
-        p_val = np.empty(len(z), dtype=complex)
-        far = np.abs(z) >= _POLE_DISK
-        zf, rf, cf = z[far], r[far], c[far]
-        if want_ds:
-            p_val[far] = -pole[len(sg) + rf, cf] / zf - pole[rf, cf] / (zf * zf)
-            p_mag[far] = pl_acc[rf] / np.abs(zf) + p_acc[rf] / np.abs(zf) ** 2
-        else:
-            p_val[far] = pole[rf, cf] / zf
-            p_mag[far] = p_acc[rf] / np.abs(zf)
-        if not far.all():
-            p_val[~far], p_mag[~far] = _pole_near(z[~far], w, log_x, q, want_ds)
-        vals[idx] = main[r, c] + p_val
-        mag = acc0[r] + tail[r, c] + p_mag
-        mag_log = acc1[r] + float(log_x.max()) * (tail[r, c] + p_mag)
-        errs[idx] = rem + 8 * _EPS * mag + (_EPS * sg[r] + 4 * _EPS_LD * np.abs(tc[c])) * mag_log
+        c, r = cols[idx] - c0, rows[idx]
+        vals[idx] = block_vals[c, r]
+        errs[idx] = block_errs[c, r]
     return vals, errs
 
 

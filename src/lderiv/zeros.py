@@ -47,15 +47,15 @@ from .errors import (
     UniquenessViolationError,
 )
 from .lfunc import (
+    Q_MAX,
     _eval_many,
-    _grid_eval,
     eval_L,
     eval_L_point,
     eval_Lprime,
     gest_bound,
 )
 from .numtypes import ComplexValue
-from .special import log_gamma
+from .special import _grid_blocks, log_gamma
 
 __all__ = [
     "Contour",
@@ -288,8 +288,11 @@ def arg_variation(
     only its upper half (Contour.upper_half) is walked: the lower half
     traces the conjugate values back again, so it adds the same variation,
     and twice the upper half's is returned.  Any other f or contour,
-    circles included, is walked in full.
+    circles included, is walked in full.  DomainError unless mesh is
+    finite and > 0.
     """
+    if not (math.isfinite(mesh) and mesh > 0.0):
+        raise DomainError(f"the walker needs a finite mesh > 0, not {mesh}")
     upper = None
     if isinstance(contour, Contour):
         upper = contour.upper_half() if getattr(f, "conj_symmetric", False) else None
@@ -995,38 +998,45 @@ def grid_zero_scan(chi: DirichletCharacter, T: float, threshold: float = 0.1) ->
     by a dense |L'| scan on a 0.02 grid with Newton polishing; dedupe at 1e-6.
 
     The sigma ceiling is the certified zero-free bound for G, so the scan
-    provably covers all of Re s > 0.  Raises PrecisionLossError when a grid
-    value's error bound exceeds threshold/1000.
+    provably covers all of Re s > 0.  Raises DomainError unless T is finite
+    and >= 0 and threshold is finite and > 0, PrecisionLossError for
+    T > 100 (past the window |Im s| <= 100) before any grid is built, and
+    PrecisionLossError when a grid value's error bound exceeds
+    threshold/1000.
     """
+    if not (math.isfinite(T) and T >= 0.0 and math.isfinite(threshold) and threshold > 0.0):
+        raise DomainError(f"the grid oracle needs finite T >= 0 and threshold > 0, "
+                          f"not T = {T}, threshold = {threshold}")
+    if T > 100.0 or chi.q > Q_MAX:
+        raise PrecisionLossError(f"oracle T={T}, q={chi.q} outside the supported window", math.inf)
     return _polish_candidates(chi, T, _grid_candidates(chi, T, threshold))
 
 
 def _grid_candidates(chi, T, threshold) -> list[complex]:
-    """The grid points of the scan where |L'| < threshold is a local minimum."""
+    """The grid points of the scan where |L'| < threshold is a local minimum,
+    in row-major order (t, then sigma).  The grid engine's blocks of t rows
+    (special._grid_blocks) are scanned as they come: each block waits only
+    for the first row of the next, and holds the last row of the one before."""
     spacing = 0.02
     sig = np.arange(spacing, zero_free_sigma(chi.m) + spacing / 2, spacing)
     ts = np.arange(-T - 2 * spacing, T + 2.5 * spacing, spacing)
     candidates: list[complex] = []
 
-    def collect(tchunk, vals, prev_row, next_row):
-        rows, cols = _local_minima(vals, prev_row, next_row, threshold)
-        candidates.extend(complex(sig[j], tchunk[i]) for i, j in zip(rows, cols))
+    def collect(c0, mags, prev_row, next_row):
+        rows, cols = _local_minima(mags, prev_row, next_row, threshold)
+        candidates.extend(complex(sig[j], ts[c0 + i]) for i, j in zip(rows, cols))
 
-    band = 400
-    held = None  # the band waiting for the first row of the next one
-    prev_row: Optional[np.ndarray] = None  # the row just before the held band
-    for start in range(0, len(ts), band):
-        tchunk = ts[start : start + band]
-        S = sig[None, :] + 1j * tchunk[:, None]
-        vals, errs = _grid_eval(chi, S.ravel(), True)
+    held = None  # the block waiting for the first row of the next one
+    prev_row: Optional[np.ndarray] = None  # the row just before the held block
+    for c0, vals, errs in _grid_blocks(sig, ts, chi.q, chi.data.values, want_ds=True):
         if errs.max() > threshold / 1000:
             raise PrecisionLossError(
                 f"oracle grid error bound {errs.max():.3e} exceeds threshold/1000", float(errs.max()))
-        vals = np.abs(vals).reshape(S.shape)
+        mags = np.abs(vals)
         if held is not None:
-            collect(*held, prev_row, vals[0])
+            collect(*held, prev_row, mags[0])
             prev_row = held[1][-1]
-        held = (tchunk, vals)
+        held = (c0, mags)
     collect(*held, prev_row, None)
     return candidates
 

@@ -1,6 +1,7 @@
 """L, L', functional equation, and the normalized derivative G."""
 
 import cmath
+import hashlib
 import math
 import struct
 import tracemalloc
@@ -754,6 +755,35 @@ def test_grid_values_do_not_depend_on_the_product_around_them(chi5, chi7_complex
                 for k in checked:
                     v, e = lf._grid_eval(chi, pts[k:k + 1], deriv)
                     assert abs(vals[k] - v[0]) <= errs[k] + e[0], (chi.q, deriv, pts[k])
+
+
+def test_grid_bytes_are_pinned(chi5, chi7_complex):
+    """Values and bars of _grid_eval on one 8-row chunk of the points
+    benchmark's grid (Re s = 0.25 .. 3, Im s = -6 .. 1, s = 1 included), as
+    the engine gave them when it looped over sigma-chunks first."""
+    S = np.array([complex(0.25 * k, t) for t in range(-6, 2) for k in range(1, 13)])
+    pins = {
+        (5, False): "1229a63095d6fd20d312dcd53333e1d8dec4ea01054a76986f69824e7edb47ab",
+        (5, True): "cda08b2e1dd38ce2f328d8964765c098000baf563f7350a947327201b7e8ffed",
+        (7, False): "f7ffd54522a03517d0841f31c5414368296c0306307941df09f7ebc9dc60449f",
+        (7, True): "801928dbe54c46e0a816386798f8f815b9d65e91a7214a3687a174afae08d508",
+    }
+    for chi in (chi5, chi7_complex):
+        for deriv in (False, True):
+            vals, errs = lf._grid_eval(chi, S, deriv)
+            got = hashlib.sha256(vals.tobytes() + errs.tobytes()).hexdigest()
+            assert got == pins[chi.q, deriv], (chi.q, deriv)
+
+
+def test_grid_refuses_points_outside_the_window(chi5):
+    """The grid evaluators refuse what eval_L refuses, with its message."""
+    for s in (0.5 + 500j, 0.5 - 101.5j, 90.0 + 1j):
+        with pytest.raises(PrecisionLossError) as point:
+            lf.eval_L(chi5, s)
+        for grid in (lf.eval_L_grid, lf.eval_Lprime_grid):
+            with pytest.raises(PrecisionLossError) as batch:
+                grid(chi5, [2.0 + 1j, s, 3.0 + 2j])
+            assert str(batch.value) == str(point.value), (grid.__name__, s)
 
 
 def test_empty_grid_gives_empty_arrays(chi5):

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -285,12 +286,28 @@ def _ref_grid_eval(chi, S, deriv):
     return out, np.zeros(len(S))
 
 
+def _ref_grid_blocks(chi, bands):
+    """The blocks the oracle reads from special._grid_blocks, built from
+    _ref_grid_eval in 400-row bands of t (the former oracle's bands); each
+    band is appended to the list bands as it is built."""
+    def blocks(sigma, t, q, f, want_ds=False):
+        assert q == chi.q and want_ds
+        for c0 in range(0, len(t), 400):
+            S = sigma[None, :] + 1j * t[c0:c0 + 400, None]
+            vals, errs = _ref_grid_eval(chi, S.ravel(), True)
+            bands.append(c0)
+            yield c0, vals.reshape(S.shape), errs.reshape(S.shape)
+    return blocks
+
+
 def test_oracle_candidates_and_zeros_match_the_former_grid(chi5, chi7_complex, monkeypatch):
     for chi in (chi5, chi7_complex):
         got = zr._grid_candidates(chi, 5.0, 0.1)
+        bands = []
         with monkeypatch.context() as m:
-            m.setattr(zr, "_grid_eval", _ref_grid_eval)
+            m.setattr(zr, "_grid_blocks", _ref_grid_blocks(chi, bands))
             want = zr._grid_candidates(chi, 5.0, 0.1)
+        assert bands == [0, 400], bands  # the reference engine is the one the oracle read
         assert got and [repr(z) for z in got] == [repr(z) for z in want], chi.q
         zeros = zr.grid_zero_scan(chi, 5.0)
         assert repr(zeros) == repr(zr._polish_candidates(chi, 5.0, want)), chi.q
@@ -319,6 +336,58 @@ def _ref_local_minima(vals, prev_row, next_row, threshold):
                 continue
             out.append((i, jx))
     return out
+
+
+def test_oracle_zeros_are_pinned(chi5, chi7_complex):
+    """The oracle's zeros at T = 10, as the scan over 400-row bands of
+    lfunc._grid_eval found them before it read the engine's blocks."""
+    assert repr(zr.grid_zero_scan(chi5, 10.0)) == \
+        "[(2.3010344349094876-7.9083485645629645j), (2.301034434909484+7.908348564562965j)]"
+    assert repr(zr.grid_zero_scan(chi7_complex, 10.0)) == (
+        "[(1.6654023404272158-8.4075966461505j), (0.17251186743997607-0.6900747912173231j), "
+        "(2.370118229025891+6.263209521674537j), (0.9064377164255727+9.285017552631642j)]")
+
+
+def test_oracle_streams_its_grid_in_small_blocks(chi5):
+    """The scan holds one block of t rows of |L'| and one row before it, not
+    a band of the grid: the traced peak of a T = 10 scan stays under 4 MB
+    (400-row bands of points, values and bars traced 13.7 MB)."""
+    zr.grid_zero_scan(chi5, 10.0)  # the character's tables and lazy imports
+    lf.clear_cache()
+    tracemalloc.start()
+    try:
+        zr.grid_zero_scan(chi5, 10.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6, peak
+
+
+def test_oracle_refuses_bad_scans(chi5, monkeypatch):
+    nan, inf = math.nan, math.inf
+    # an endless or empty grid, or a threshold that keeps nothing (or everything)
+    for T, threshold in ((nan, 0.1), (inf, 0.1), (-1.0, 0.1), (5.0, 0.0), (5.0, -0.1),
+                         (5.0, nan), (5.0, inf)):
+        with pytest.raises(DomainError):
+            zr.grid_zero_scan(chi5, T, threshold)
+    # past the window |Im s| <= 100 the oracle refuses as eval_L does, before
+    # it builds its grid
+    monkeypatch.setattr(zr, "_grid_blocks", lambda *args, **kw: pytest.fail("grid built"))
+    for T in (100.5, 1e6):
+        with pytest.raises(PrecisionLossError):
+            zr.grid_zero_scan(chi5, T)
+
+
+def test_walker_refuses_bad_meshes(chi5):
+    f = zr._evaluator(chi5, "Lprime")
+    box = zr.rectangle(0, 1, -1, 1)
+    for mesh in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            zr.arg_variation(f, box, mesh=mesh)
+        with pytest.raises(DomainError):
+            zr.winding_count(f, box, mesh=mesh)
+        with pytest.raises(DomainError):
+            zr.list_zeros(chi5, box, "Lprime", mesh=mesh)
 
 
 def test_local_minima_sees_the_next_bands_first_row():
